@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench tables chaos fuzz api-golden bench-twophase bench-planner bench-readahead bench-critpath bench-pipeline chaos-twophase chaos-readahead chaos-tenants chaos-planner chaos-pipeline bench-alloc alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full
+.PHONY: build test vet race check bench tables chaos fuzz api-golden bench-planner bench-readahead bench-critpath bench-pipeline chaos-tenants bench-alloc alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full
 
 build:
 	$(GO) build ./...
@@ -27,16 +27,13 @@ tables:
 bench:
 	$(GO) test -bench . -benchtime 1x ./internal/bench
 
-# The two-phase vs funnel vs parallel strategy ablation. Emits the grid as
-# BENCH_twophase.json and fails if two-phase never beats both classic paths.
-bench-twophase:
-	$(GO) run ./cmd/dstream-bench -twophase -twophase-json BENCH_twophase.json
-
-# The planner-vs-oracle grid: every cell of the two-phase write ablation
-# plus a read workload grid, replayed under each static choice and under
-# StrategyAuto's cost-model planner. Emits BENCH_planner.json and fails
-# unless Auto is within 10% of the best static choice on ≥90% of the cells
-# with byte-identical data in every cell.
+# The planner-vs-oracle grid: a write grid plus a read workload grid,
+# replayed under each static choice and under StrategyAuto's cost-model
+# planner. The write grid's static columns are the two-phase vs funnel vs
+# parallel ablation. Emits BENCH_planner.json and fails unless Auto is
+# within 10% of the best static choice on ≥90% of the cells with
+# byte-identical data in every cell, and two-phase beats both classic
+# paths outright on at least one write cell.
 bench-planner:
 	$(GO) run ./cmd/dstream-bench -planner -planner-json BENCH_planner.json
 
@@ -101,35 +98,18 @@ race-pooldebug:
 api-golden:
 	$(GO) test . -run TestAPISurface -update
 
-# The chaos oracle: the full SCF write→read pipeline under seeded fault
-# schedules. Override the campaign with e.g.
+# The chaos oracle: every seeded fault campaign in internal/chaos — the
+# TestChaosOracle table (default, two-phase, parallel, read-ahead, planner,
+# TCP and 64-rank rows), the channel pipeline, the brutal-rate run and the
+# multi-tenant daemon oracle. Override the campaign with e.g.
 #   make chaos CHAOS_SEED=1000 CHAOS_N=2000
+# and pick one row with e.g.
+#   go test ./internal/chaos/ -v -run 'TestChaosOracle/planner'
 CHAOS_SEED ?= 1
 CHAOS_N    ?= 200
 
 chaos:
-	$(GO) test ./internal/chaos/ -v -run TestChaos -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
-
-# Same oracle with the two-phase collective strategy on both stream ends.
-chaos-twophase:
-	$(GO) test ./internal/chaos/ -v -run TestChaosOracleTwoPhase -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
-
-# Same oracle with read-ahead prefetching over a striped, fault-injected store.
-chaos-readahead:
-	$(GO) test ./internal/chaos/ -v -run TestChaosOracleReadAhead -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
-
-# Same oracle with the cost-model planner active (full-auto streams) and a
-# striped store: seeded faults skew the planner's observations mid-stream,
-# and every successful seed must show rank-identical plan-decision chains.
-chaos-planner:
-	$(GO) test ./internal/chaos/ -v -run TestChaosOraclePlanner -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
-
-# The channel oracle: the M→N pipeline under seeded transport faults plus a
-# seeded mid-stream consumer stall. Every seed must end with the pipeline's
-# consumed bytes identical to the fault-free file path or a clean error —
-# never a hang, never corruption.
-chaos-pipeline:
-	$(GO) test ./internal/chaos/ -v -run TestChaosPipeline -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
+	$(GO) test ./internal/chaos/ -v -run 'TestChaos|TestTenantChaos|TestTenantsReference' -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
 
 # The multi-tenant daemon oracle: ≥3 concurrent tenant programs through one
 # dstreamd over fault-injected storage and transports, with every client

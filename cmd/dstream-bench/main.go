@@ -9,8 +9,8 @@
 //	dstream-bench -table 2        # one table
 //	dstream-bench -ablations     # the design-choice ablations
 //	dstream-bench -all -verify   # also verify data integrity per cell
-//	dstream-bench -twophase      # two-phase vs funnel vs parallel ablation
-//	dstream-bench -planner       # StrategyAuto vs the best static choice per cell
+//	dstream-bench -planner       # StrategyAuto vs the best static choice per cell,
+//	                             # incl. the two-phase vs funnel vs parallel ablation
 package main
 
 import (
@@ -36,8 +36,6 @@ func main() {
 		metricsJS   = flag.String("metrics-json", "", "write the dsmon metrics snapshot (JSON) to this file ('-' for stdout)")
 		variant     = flag.String("variant", "streams", "variant for -trace/-gantt/-metrics: unbuffered|manual|streams")
 		strategy    = flag.String("strategy", "auto", "stream write strategy for -trace/-gantt/-metrics runs: auto|funnel|parallel|twophase")
-		twophase    = flag.Bool("twophase", false, "run the two-phase vs funnel vs parallel strategy ablation")
-		twophaseJS  = flag.String("twophase-json", "", "write the two-phase ablation grid (JSON) to this file ('-' for stdout)")
 		planner     = flag.Bool("planner", false, "run the planner-vs-oracle grid: StrategyAuto against the best static choice per cell")
 		plannerJS   = flag.String("planner-json", "", "write the planner grid (JSON) to this file ('-' for stdout)")
 		readahead   = flag.Bool("readahead", false, "run the read-ahead prefetch ablation")
@@ -60,7 +58,7 @@ func main() {
 	)
 	flag.Parse()
 	if !*all && *table == 0 && !*ablations && !*stats && !*platforms && !*scaling &&
-		!*twophase && *twophaseJS == "" && !*planner && *plannerJS == "" &&
+		!*planner && *plannerJS == "" &&
 		!*readahead && *readaheadJS == "" && !*pipeline && *pipelineJS == "" &&
 		!*critpathF && *critpathJS == "" && !*scale && *scaleJS == "" && *serve == "" &&
 		!*alloc && *allocJS == "" && *allocCheck == "" &&
@@ -210,44 +208,6 @@ func main() {
 		runAblations()
 	}
 
-	if *twophase || *twophaseJS != "" {
-		pts, err := bench.TwoPhaseSweep()
-		if err != nil {
-			fatal(err)
-		}
-		if *twophase {
-			formatTwoPhase(os.Stdout, pts)
-		}
-		if *twophaseJS != "" {
-			out := os.Stdout
-			if *twophaseJS != "-" {
-				f, err := os.Create(*twophaseJS)
-				if err != nil {
-					fatal(err)
-				}
-				defer f.Close()
-				out = f
-			}
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(pts); err != nil {
-				fatal(err)
-			}
-		}
-		// The acceptance bar for the strategy: at least one configuration
-		// where aggregation beats both classic paths outright.
-		wins := 0
-		for _, p := range pts {
-			if p.TwoPhase < p.Funnel && p.TwoPhase < p.Parallel {
-				wins++
-			}
-		}
-		if wins == 0 {
-			fatal(fmt.Errorf("two-phase never beat both funnel and parallel — aggregation is not paying for its shuffle"))
-		}
-		fmt.Fprintf(os.Stderr, "dstream-bench: two-phase wins %d of %d grid cells outright\n", wins, len(pts))
-	}
-
 	if *planner || *plannerJS != "" {
 		grid, err := bench.PlannerSweep()
 		if err != nil {
@@ -274,7 +234,9 @@ func main() {
 		}
 		// The acceptance bar for the cost model: byte identity in every
 		// cell, and Auto within 10% of the best static choice on ≥90% of
-		// the grid — a planner may mis-rank near-ties, never lose big.
+		// the grid — a planner may mis-rank near-ties, never lose big. The
+		// bar for two-phase itself: at least one write cell where
+		// aggregation beats both classic paths outright.
 		if err := bench.CheckPlanner(grid, bench.PlannerTolerance, bench.PlannerMinFraction); err != nil {
 			fatal(err)
 		}
@@ -291,6 +253,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "dstream-bench: planner matched the static oracle on %d of %d grid cells, all byte-identical\n",
 			matched, len(grid.Write)+len(grid.Read))
+		fmt.Fprintf(os.Stderr, "dstream-bench: two-phase wins %d of %d write cells outright\n",
+			bench.TwoPhaseWins(grid), len(grid.Write))
 	}
 
 	if *readahead || *readaheadJS != "" {
@@ -533,28 +497,17 @@ func runAblations() {
 		chanS, tcpS, chanS == tcpS)
 }
 
-func formatTwoPhase(w *os.File, pts []bench.StrategyPoint) {
-	fmt.Fprintln(w, "Two-phase collective buffering ablation (virtual seconds, SCF write+read)")
-	fmt.Fprintln(w, "--------------------------------------------------------------------------")
-	fmt.Fprintf(w, "%-10s %6s %8s %9s %7s %10s %10s %10s   %s\n",
-		"platform", "procs", "segments", "particles", "stripe", "funnel", "parallel", "twophase", "winner")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%-10s %6d %8d %9d %7d %10.4f %10.4f %10.4f   %s\n",
-			p.Platform, p.NProcs, p.Segments, p.Particles, p.StripeFactor,
-			p.Funnel, p.Parallel, p.TwoPhase, p.Winner)
-	}
-	fmt.Fprintln(w)
-}
-
 func formatPlanner(w *os.File, g bench.PlannerGrid) {
 	fmt.Fprintln(w, "Planner-vs-oracle grid: StrategyAuto against the best static choice per cell")
 	fmt.Fprintln(w, "-----------------------------------------------------------------------------")
-	fmt.Fprintf(w, "%-10s %6s %9s %7s %10s %10s %-9s %-9s %7s %5s\n",
-		"platform", "procs", "particles", "stripe", "auto", "best", "oracle", "pick", "ratio", "ok")
+	fmt.Fprintf(w, "%-10s %6s %9s %7s %10s %10s %10s %10s %-9s %-9s %7s %5s\n",
+		"platform", "procs", "particles", "stripe", "funnel", "parallel", "twophase",
+		"auto", "oracle", "pick", "ratio", "ok")
 	for _, p := range g.Write {
-		fmt.Fprintf(w, "%-10s %6d %9d %7d %10.4f %10.4f %-9s %-9s %7.3f %5v\n",
+		fmt.Fprintf(w, "%-10s %6d %9d %7d %10.4f %10.4f %10.4f %10.4f %-9s %-9s %7.3f %5v\n",
 			p.Platform, p.NProcs, p.Particles, p.StripeFactor,
-			p.Auto, p.Best, p.BestStrategy, p.AutoPick, p.AutoOverBest, p.Matched)
+			p.Funnel, p.Parallel, p.TwoPhase,
+			p.Auto, p.BestStrategy, p.AutoPick, p.AutoOverBest, p.Matched)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-10s %9s %9s %10s %10s %-15s %7s %5s\n",

@@ -70,16 +70,16 @@ func AblationSortedVsUnsorted(prof vtime.Profile, nprocs, segments int) (sorted,
 // against the parallel metadata write for a given collection size (§4.1
 // step 1: the right choice depends on the element count).
 func AblationMetadataPath(prof vtime.Profile, nprocs, segments int) (funnel, parallel float64, err error) {
-	measure := func(pol dstream.MetaPolicy) (float64, error) {
+	measure := func(s dstream.Strategy) (float64, error) {
 		return Seconds(Run{
 			Profile: prof, NProcs: nprocs, Segments: segments,
-			Variant: Streams, StreamOpts: dstream.Options{Meta: pol},
+			Variant: Streams, StreamOpts: dstream.Options{Strategy: s},
 		})
 	}
-	if funnel, err = measure(dstream.MetaFunnel); err != nil {
+	if funnel, err = measure(dstream.StrategyFunnel); err != nil {
 		return 0, 0, err
 	}
-	if parallel, err = measure(dstream.MetaParallel); err != nil {
+	if parallel, err = measure(dstream.StrategyParallel); err != nil {
 		return 0, 0, err
 	}
 	return funnel, parallel, nil

@@ -63,19 +63,14 @@ type Run struct {
 	Particles int // 0 means scf.DefaultParticles
 	Variant   Variant
 	Transport machine.TransportKind
-	// StreamOpts tunes the Streams variants (strategy and metadata-policy
-	// ablations); it is applied to both the output and the input stream.
+	// StreamOpts tunes the Streams variants (the strategy ablations); it
+	// is applied to both the output and the input stream.
 	StreamOpts dstream.Options
-	// StripeFactor, when positive, backs the run's file system with a
-	// striped store of that many devices (StripeUnit bytes per cell,
-	// pfs.DefaultStripeUnit when zero) instead of a flat one — the geometry
-	// the two-phase strategy aggregates against.
-	StripeFactor int
-	StripeUnit   int64
-	// FS, when non-nil, overrides the run's file system entirely (the
-	// stripe fields are ignored). The planner ablation uses it to keep
-	// the written image inspectable after the run, for byte-identity
-	// comparison across strategies.
+	// FS, when non-nil, replaces the run's flat in-memory file system. The
+	// planner ablation passes a striped store (the geometry the two-phase
+	// strategy aggregates against) and keeps the written image
+	// inspectable after the run, for byte-identity comparison across
+	// strategies.
 	FS *pfs.FileSystem
 	// Verify re-checks every element after the input phase (on by default
 	// in tests; adds no virtual time).
@@ -114,13 +109,6 @@ func Measure(r Run) (Measurement, error) {
 	fs := r.FS
 	if fs == nil {
 		fs = pfs.NewMemFS(r.Profile)
-		if r.StripeFactor > 0 {
-			unit := r.StripeUnit
-			if unit <= 0 {
-				unit = pfs.DefaultStripeUnit
-			}
-			fs = pfs.NewFileSystem(r.Profile, pfs.StripedMemFactory(r.StripeFactor, unit))
-		}
 	}
 	mres, err := machine.Run(machine.Config{
 		NProcs:      r.NProcs,

@@ -155,14 +155,16 @@ func TestAblationTransportVirtualTimesEqual(t *testing.T) {
 	}
 }
 
-// TestStreamOptsPlumbed: explicit metadata policies produce a working run.
+// TestStreamOptsPlumbed: every strategy set through Run.StreamOpts produces
+// a working, verified run.
 func TestStreamOptsPlumbed(t *testing.T) {
-	for _, pol := range []dstream.MetaPolicy{dstream.MetaAuto, dstream.MetaFunnel, dstream.MetaParallel} {
+	for _, s := range []dstream.Strategy{dstream.StrategyAuto, dstream.StrategyFunnel,
+		dstream.StrategyParallel, dstream.StrategyTwoPhase} {
 		if _, err := Seconds(Run{
 			Profile: vtime.Challenge(), NProcs: 2, Segments: 16,
-			Variant: Streams, StreamOpts: dstream.Options{Meta: pol}, Verify: true,
+			Variant: Streams, StreamOpts: dstream.Options{Strategy: s}, Verify: true,
 		}); err != nil {
-			t.Fatalf("policy %d: %v", pol, err)
+			t.Fatalf("strategy %v: %v", s, err)
 		}
 	}
 }

@@ -14,16 +14,18 @@ import (
 	"pcxxstreams/internal/vtime"
 )
 
-// The planner-vs-oracle grid: every cell of the two-phase write ablation
-// and a read-side workload grid is replayed once per static choice and
-// once under full-auto (the cost-model planner), and the planner's cycle
-// time is compared against the best static choice the oracle found. The
-// gate — planner within PlannerTolerance of the oracle on at least
-// PlannerMinFraction of all cells, byte identity in every cell — is what
-// makes StrategyAuto's new meaning safe to ship: the model may mis-rank
-// near-ties, but it must never buy its choices with wrong bytes and must
-// never be left badly behind by a static configuration someone could have
-// written by hand.
+// The planner-vs-oracle grid: a write grid and a read-side workload grid
+// are replayed once per static choice and once under full-auto (the
+// cost-model planner), and the planner's cycle time is compared against
+// the best static choice the oracle found. The write grid's static columns
+// double as the two-phase ablation: funnel vs parallel vs two-phase on
+// the same cells. The gate — planner within PlannerTolerance of the oracle
+// on at least PlannerMinFraction of all cells, byte identity in every
+// cell, and two-phase beating both classic paths outright on at least one
+// write cell — is what makes StrategyAuto's meaning safe to ship: the
+// model may mis-rank near-ties, but it must never buy its choices with
+// wrong bytes and must never be left badly behind by a static
+// configuration someone could have written by hand.
 
 const (
 	// PlannerTolerance is how far above the best static cycle time a
@@ -336,9 +338,13 @@ func MeasurePlannerRead(prof vtime.Profile, nprocs, segments, particles, records
 	return pt, nil
 }
 
-// PlannerSweep replays the full grid: the 16 write cells of the two-phase
-// ablation plus 8 read workload cells (platform × element size × compute
-// gap), each scored against its static oracle.
+// PlannerSweep replays the full grid, each cell scored against its static
+// oracle: 16 write cells (platform × node count × element size × stripe
+// factor) plus 8 read workload cells (platform × element size × compute
+// gap). The write grid is chosen so the answer is not one-sided — small
+// collections on one I/O channel favor the funnel, many small blocks from
+// many nodes favor aggregation, and large elements amortize the
+// per-operation latency that two-phase exists to dodge.
 func PlannerSweep() (PlannerGrid, error) {
 	var g PlannerGrid
 	for _, prof := range []vtime.Profile{vtime.Paragon(), vtime.CM5()} {
@@ -366,9 +372,23 @@ func PlannerSweep() (PlannerGrid, error) {
 	return g, nil
 }
 
+// TwoPhaseWins counts the write cells where two-phase beats both funnel
+// and parallel outright.
+func TwoPhaseWins(g PlannerGrid) int {
+	wins := 0
+	for _, pt := range g.Write {
+		if pt.TwoPhase < pt.Funnel && pt.TwoPhase < pt.Parallel {
+			wins++
+		}
+	}
+	return wins
+}
+
 // CheckPlanner is the regression gate over a planner grid: byte identity
-// in every cell, and the matched fraction at or above min (the ≥90%
-// within-10% acceptance bar when called with the package constants).
+// in every cell, the matched fraction at or above min (the ≥90%
+// within-10% acceptance bar when called with the package constants), and
+// at least one write cell where two-phase aggregation pays for its
+// shuffle by beating both classic paths outright.
 func CheckPlanner(g PlannerGrid, tol, min float64) error {
 	cells, matched := 0, 0
 	for _, pt := range g.Write {
@@ -397,6 +417,9 @@ func CheckPlanner(g PlannerGrid, tol, min float64) error {
 	if frac := float64(matched) / float64(cells); frac < min {
 		return fmt.Errorf("bench: planner matched the static oracle on %d/%d cells (%.0f%%), need ≥%.0f%%",
 			matched, cells, 100*frac, 100*min)
+	}
+	if TwoPhaseWins(g) == 0 {
+		return fmt.Errorf("bench: two-phase never beat both funnel and parallel — aggregation is not paying for its shuffle")
 	}
 	return nil
 }

@@ -6,13 +6,14 @@ import (
 	"pcxxstreams/internal/vtime"
 )
 
-// TestPlannerGrid is the planner-vs-oracle acceptance test: the full write
-// grid (the two-phase ablation's 16 cells) and the 8-cell read workload
-// grid, each cell replayed under every static choice and under full-auto.
-// StrategyAuto must land within PlannerTolerance of the best static choice
-// on at least PlannerMinFraction of the cells, and its file image (write
-// side) and extracted segments (read side) must be byte-identical in every
-// cell — a planner that wins with wrong bytes fails outright.
+// TestPlannerGrid is the planner-vs-oracle acceptance test: the 16-cell
+// write grid (whose static columns are the two-phase ablation) and the
+// 8-cell read workload grid, each cell replayed under every static choice
+// and under full-auto. StrategyAuto must land within PlannerTolerance of
+// the best static choice on at least PlannerMinFraction of the cells, and
+// its file image (write side) and extracted segments (read side) must be
+// byte-identical in every cell — a planner that wins with wrong bytes
+// fails outright.
 func TestPlannerGrid(t *testing.T) {
 	g, err := PlannerSweep()
 	if err != nil {
@@ -69,11 +70,18 @@ func TestPlannerModelTracksObserved(t *testing.T) {
 
 // TestCheckPlannerGate pins the gate's own semantics on synthetic grids:
 // byte mismatch fails regardless of timing, a sub-threshold matched
-// fraction fails, an empty grid fails, and a healthy grid passes.
+// fraction fails, an empty grid fails, a grid where two-phase never beats
+// both classic paths fails, and a healthy grid passes.
 func TestCheckPlannerGate(t *testing.T) {
-	ok := PlannerWritePoint{Platform: "p", Auto: 1.0, Best: 1.0, Identical: true}
-	slow := PlannerWritePoint{Platform: "p", Auto: 2.0, Best: 1.0, Identical: true}
-	bad := PlannerWritePoint{Platform: "p", Auto: 1.0, Best: 1.0, Identical: false}
+	// Static columns where two-phase wins outright (1.0 < 1.2, 1.3).
+	ok := PlannerWritePoint{Platform: "p", Funnel: 1.2, Parallel: 1.3, TwoPhase: 1.0,
+		Auto: 1.0, Best: 1.0, Identical: true}
+	slow, bad := ok, ok
+	slow.Auto = 2.0
+	bad.Identical = false
+	// A tie with funnel is not an outright win.
+	tie := ok
+	tie.Funnel = tie.TwoPhase
 
 	if err := CheckPlanner(PlannerGrid{Write: []PlannerWritePoint{ok, ok}}, 0.10, 0.90); err != nil {
 		t.Errorf("healthy grid failed: %v", err)
@@ -86,5 +94,11 @@ func TestCheckPlannerGate(t *testing.T) {
 	}
 	if err := CheckPlanner(PlannerGrid{}, 0.10, 0.90); err == nil {
 		t.Error("empty grid passed the gate")
+	}
+	if err := CheckPlanner(PlannerGrid{Write: []PlannerWritePoint{tie, tie}}, 0.10, 0.90); err == nil {
+		t.Error("grid where two-phase never beats both classic paths passed the gate")
+	}
+	if got := TwoPhaseWins(PlannerGrid{Write: []PlannerWritePoint{ok, tie, ok}}); got != 2 {
+		t.Errorf("TwoPhaseWins = %d, want 2", got)
 	}
 }

@@ -52,77 +52,35 @@ func requireAllKinds(t *testing.T, rep Report) {
 	t.Logf("injections: %v", rep.Injects)
 }
 
-// TestChaosOracle is the tentpole acceptance test: the full SCF write→read
-// pipeline across NProcs simulated ranks, run under -chaos.n seeded fault
-// schedules starting at -chaos.seed. Every run must finish with bytes
-// identical to the fault-free reference or a clean error on every rank;
-// hangs and silent corruption fail the suite, and the campaign as a whole
-// must have injected every fault kind at least once.
-func TestChaosOracle(t *testing.T) {
-	rep, err := RunSeeds(Config{}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
-	requireAllKinds(t, rep)
-	if rep.OK == 0 {
-		t.Error("no seed completed successfully — default rates should mostly be survivable")
-	}
+// oracleCampaign is one row of the TestChaosOracle table: a pipeline
+// configuration, its seed budget, and the assertion it adds on top of the
+// hang/corruption verdict every row shares.
+type oracleCampaign struct {
+	name string
+	cfg  Config
+	// The row runs max(chaos.n/div, floor) seeds from chaos.seed; div 0
+	// means chaos.n seeds.
+	div, floor int
+	// long rows pay for real sockets or many ranks and skip in -short mode.
+	long bool
+	// planChains collects every rank's plan-decision chains per seed and
+	// requires them bit-identical on every successful seed.
+	planChains bool
+	// extra is the row's own assertion over the finished campaign.
+	extra func(t *testing.T, rep Report)
 }
 
-// TestChaosOracleTwoPhase reruns the full campaign with the two-phase
-// collective strategy on both stream directions, so the aggregation
-// shuffle, extent assembly, and scatter traffic face the same fault
-// schedules as the classic paths — with the same trichotomy verdict.
-func TestChaosOracleTwoPhase(t *testing.T) {
-	rep, err := RunSeeds(Config{Strategy: dstream.StrategyTwoPhase}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
+func (c oracleCampaign) seeds() int {
+	if c.div == 0 {
+		return *chaosN
 	}
-	reportFailures(t, rep)
-	if rep.OK == 0 {
-		t.Error("no two-phase seed completed successfully — default rates should mostly be survivable")
-	}
+	return max(*chaosN/c.div, c.floor)
 }
 
-// TestChaosOracleParallel completes the per-strategy coverage: the all-ranks
-// parallel append/read paths — now drawing every frame and refill buffer
-// from the shared pool — face the full seeded fault campaign. A pooling bug
-// that resurfaced a recycled buffer would show up here as a corruption
-// verdict (and, under -tags pooldebug, as a poison panic at the exact Get).
-func TestChaosOracleParallel(t *testing.T) {
-	rep, err := RunSeeds(Config{Strategy: dstream.StrategyParallel}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
-	if rep.OK == 0 {
-		t.Error("no parallel-strategy seed completed successfully — default rates should mostly be survivable")
-	}
-}
-
-// TestChaosOracleReadAhead runs the campaign with the input stream's
-// prefetch pipeline on over a striped, fault-injected store: every stripe
-// leg of the concurrent fan-out fails on its own schedule while the reader
-// holds in-flight background refills. The trichotomy verdict is unchanged —
-// byte-identity or a clean error on every rank; a prefetch that outlives
-// its stream, leaks a pooled buffer into a wedged rendezvous, or applies a
-// stale speculative refill shows up here as a hang or a corruption.
-func TestChaosOracleReadAhead(t *testing.T) {
-	rep, err := RunSeeds(Config{
-		ReadAhead:    2,
-		Records:      3,
-		StripeFactor: 3,
-		StripeUnit:   1 << 12,
-	}, *chaosSeed, *chaosN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
-	if rep.OK == 0 {
-		t.Error("no read-ahead seed completed successfully — default rates should mostly be survivable")
-	}
-	// The striped factory must actually have put faults under the fan-out.
+// requirePfsKinds asserts the striped factory put every storage fault kind
+// under the read fan-out.
+func requirePfsKinds(t *testing.T, rep Report) {
+	t.Helper()
 	for _, k := range pfsKinds {
 		if rep.Injects["pfs:"+k] == 0 {
 			t.Errorf("no seed injected pfs fault %q under the stripe", k)
@@ -131,54 +89,100 @@ func TestChaosOracleReadAhead(t *testing.T) {
 	t.Logf("injections: %v", rep.Injects)
 }
 
-// TestChaosOraclePlanner runs the campaign with the cost-model planner
-// active on both stream directions — full-auto streams (no explicit
-// strategy, no explicit read-ahead) over a striped, fault-injected store.
-// The injected faults (delays, drops, retries) skew the virtual-time cost
-// observations the planner calibrates against mid-stream, which is exactly
-// the condition under which a re-plan could split the group: if any rank
-// saw a different cost than its peers, it would switch strategies on a
-// different record boundary and the collective protocol would deadlock or
-// interleave wrong bytes. The oracle therefore asserts, on top of the usual
-// trichotomy, that every successful seed's per-rank plan-decision chains
-// (FNV-1a over every record's strategy, aggregator count, and depth) are
-// bit-identical across ranks on both the write and read side.
-func TestChaosOraclePlanner(t *testing.T) {
-	cfg := Config{
-		Records:      3,
-		StripeFactor: 3,
-		StripeUnit:   1 << 12,
-	}.withDefaults()
-	ref, err := Reference(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestChaosOracle is the tentpole acceptance test: the full SCF write→read
+// pipeline across NProcs simulated ranks, run under seeded fault schedules
+// starting at -chaos.seed, once per row below. Every run must finish with
+// bytes identical to the fault-free reference or a clean error on every
+// rank; hangs and silent corruption fail the suite, and every row must see
+// at least one seed complete.
+//
+//   - default: the paper's configuration under the planner; the campaign
+//     as a whole must inject every fault kind at least once.
+//   - twophase: the aggregation shuffle, extent assembly and scatter
+//     traffic face the same schedules as the classic paths.
+//   - parallel: the all-ranks append/read paths, drawing every frame and
+//     refill buffer from the shared pool — a resurfaced recycled buffer
+//     shows up as a corruption (and, under -tags pooldebug, as a poison
+//     panic at the exact Get).
+//   - readahead: the prefetch pipeline over a striped, fault-injected
+//     store, every stripe leg failing on its own schedule while background
+//     refills are in flight; a prefetch that outlives its stream, leaks a
+//     pooled buffer into a wedged rendezvous, or applies a stale refill
+//     shows up as a hang or a corruption.
+//   - planner: full-auto streams over a striped store. Injected faults skew
+//     the cost observations the planner calibrates against mid-stream; a
+//     rank that saw a different cost would switch strategies on a
+//     different record boundary and deadlock or interleave wrong bytes, so
+//     every successful seed's per-rank plan-decision chains (FNV-1a over
+//     each record's strategy, aggregator count and depth) must be
+//     bit-identical on both the write and read side.
+//   - tcp: real loopback sockets, exposing the framing, write-deadline and
+//     broken-connection paths; fewer seeds since each pays for real
+//     dial/accept work.
+//   - scale: 64 ranks with fan-out-sharded collectives, the configuration
+//     of the runtime scale curve, where a mailbox-ring bug that only shows
+//     under many concurrent producers (a missed wakeup on a contended
+//     gate, a stale overflow count, a close racing hundreds of enqueues)
+//     becomes a hang or corruption verdict; fewer seeds since one 64-rank
+//     pipeline costs ~16x a 4-rank one.
+func TestChaosOracle(t *testing.T) {
+	striped := Config{Records: 3, StripeFactor: 3, StripeUnit: 1 << 12}
+	readAhead := striped
+	readAhead.ReadAhead = 2
+	campaigns := []oracleCampaign{
+		{name: "default", extra: requireAllKinds},
+		{name: "twophase", cfg: Config{Strategy: dstream.StrategyTwoPhase}},
+		{name: "parallel", cfg: Config{Strategy: dstream.StrategyParallel}},
+		{name: "readahead", cfg: readAhead, extra: requirePfsKinds},
+		{name: "planner", cfg: striped, planChains: true},
+		{name: "tcp", cfg: Config{Transport: machine.TransportTCP}, div: 10, floor: 10, long: true},
+		{name: "scale", cfg: Config{NProcs: 64, Fanout: 8, Records: 1}, div: 20, floor: 8, long: true},
 	}
-	var rep Report
-	agreed := 0
-	for i := 0; i < *chaosN; i++ {
-		seed := *chaosSeed + int64(i)
-		c := cfg
-		c.PlanSigs = NewPlanSignatures(cfg.NProcs)
-		sr := RunSeed(c, seed, ref)
-		rep.Add(sr)
-		if sr.Outcome == OutcomeHang {
-			break
-		}
-		// Only completed runs have every rank's chain; a clean error
-		// legitimately leaves ranks at different records.
-		if sr.Outcome == OutcomeOK {
-			if err := c.PlanSigs.Agree(); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-			} else {
-				agreed++
+	for _, c := range campaigns {
+		t.Run(c.name, func(t *testing.T) {
+			if c.long && testing.Short() {
+				t.Skip("skipped in -short mode")
 			}
-		}
+			cfg := c.cfg.withDefaults()
+			ref, err := Reference(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep Report
+			agreed := 0
+			for i := 0; i < c.seeds(); i++ {
+				seed := *chaosSeed + int64(i)
+				sc := cfg
+				if c.planChains {
+					sc.PlanSigs = NewPlanSignatures(cfg.NProcs)
+				}
+				sr := RunSeed(sc, seed, ref)
+				rep.Add(sr)
+				if sr.Outcome == OutcomeHang {
+					break
+				}
+				// Only completed runs have every rank's chain; a clean error
+				// legitimately leaves ranks at different records.
+				if c.planChains && sr.Outcome == OutcomeOK {
+					if err := sc.PlanSigs.Agree(); err != nil {
+						t.Errorf("seed %d: %v", seed, err)
+					} else {
+						agreed++
+					}
+				}
+			}
+			reportFailures(t, rep)
+			if c.extra != nil {
+				c.extra(t, rep)
+			}
+			if rep.OK == 0 {
+				t.Error("no seed completed successfully — default rates should mostly be survivable")
+			}
+			if c.planChains {
+				t.Logf("plan-decision chains rank-identical on all %d successful seeds", agreed)
+			}
+		})
 	}
-	reportFailures(t, rep)
-	if rep.OK == 0 {
-		t.Error("no planner seed completed successfully — default rates should mostly be survivable")
-	}
-	t.Logf("plan-decision chains rank-identical on all %d successful seeds", agreed)
 }
 
 // TestReferenceStrategyIdentity: the fault-free pipeline writes the same
@@ -198,51 +202,6 @@ func TestReferenceStrategyIdentity(t *testing.T) {
 		if !bytes.Equal(img, ref) {
 			t.Errorf("strategy %v image differs from auto reference (%d vs %d bytes)", s, len(img), len(ref))
 		}
-	}
-}
-
-// TestChaosOracleTCP repeats a slice of the campaign over real loopback
-// sockets, so the framing, write-deadline, and broken-connection paths are
-// also exposed to the fault schedule. Smaller seed count: each run pays for
-// real dial/accept work.
-func TestChaosOracleTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP oracle skipped in -short mode")
-	}
-	n := *chaosN / 10
-	if n < 10 {
-		n = 10
-	}
-	rep, err := RunSeeds(Config{Transport: machine.TransportTCP}, *chaosSeed, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
-}
-
-// TestChaosOracleScale is the scale cell of the campaign: the full
-// pipeline across 64 simulated ranks with the fan-out-sharded collectives
-// — the configuration the runtime scale curve runs — under seeded fault
-// schedules. This is where a mailbox-ring bug that only shows under many
-// concurrent producers (a missed wakeup on a contended gate, a stale
-// overflow count, a close racing hundreds of enqueues) graduates from
-// torture-suite theory to a hang or corruption verdict. Fewer seeds: one
-// 64-rank pipeline costs ~16x a 4-rank one.
-func TestChaosOracleScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("64-rank oracle skipped in -short mode")
-	}
-	n := *chaosN / 20
-	if n < 8 {
-		n = 8
-	}
-	rep, err := RunSeeds(Config{NProcs: 64, Fanout: 8, Records: 1}, *chaosSeed, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportFailures(t, rep)
-	if rep.OK == 0 {
-		t.Error("no 64-rank seed completed successfully — default rates should mostly be survivable")
 	}
 }
 

@@ -70,44 +70,18 @@ type Extractor interface {
 	StreamExtract(d *Decoder)
 }
 
-// MetaPolicy selects how a record's metadata (header + size table) reaches
-// the file (§4.1 step 1).
-type MetaPolicy uint8
-
-const (
-	// MetaAuto funnels metadata through node 0 for small collections and
-	// writes it in parallel for large ones (the paper's heuristic).
-	MetaAuto MetaPolicy = iota
-	// MetaFunnel always gathers the size table to node 0, which writes it
-	// at the head of its per-node buffer — one parallel write total.
-	MetaFunnel
-	// MetaParallel always writes the metadata with its own parallel write.
-	MetaParallel
-)
-
-// DefaultFunnelThreshold is the element count below which MetaAuto funnels
-// metadata through node 0.
-const DefaultFunnelThreshold = 4096
-
 // Options tune a stream; the zero value gives the paper's defaults.
 // Prefer building them through Open/OpenInput's functional options; the
 // struct remains exported for WithOptions (wholesale migration of a
 // pre-built value) and for tools that enumerate settings.
 type Options struct {
 	// Strategy selects the collective data path. StrategyAuto (the zero
-	// value) defers to the legacy Meta policy and the funnel-threshold
-	// heuristic; an explicit strategy overrides both.
+	// value) hands the choice to the cost-model planner; an explicit
+	// strategy pins that static path for every record.
 	Strategy Strategy
 	// Aggregators overrides the two-phase aggregator count; zero derives K
 	// from the file's stripe factor.
 	Aggregators int
-
-	// Meta is the legacy metadata-path policy, honored only under
-	// StrategyAuto.
-	//
-	// Deprecated: use Strategy (WithStrategy) instead.
-	Meta            MetaPolicy
-	FunnelThreshold int // 0 means DefaultFunnelThreshold
 	// Strict enforces the full Figure 2 contract on input streams: every
 	// array of a record must be extracted before the next read or skip, and
 	// before close ("every extract must have a corresponding insert" in
@@ -149,13 +123,6 @@ type Options struct {
 	// growing unbounded buffers. Zero means DefaultChannelWindow. Only
 	// OpenChannel/OpenChannelInput accept it.
 	ChannelWindow int
-}
-
-func (o Options) funnelThreshold() int {
-	if o.FunnelThreshold <= 0 {
-		return DefaultFunnelThreshold
-	}
-	return o.FunnelThreshold
 }
 
 // Common errors.

@@ -348,27 +348,6 @@ func TestInterleaving(t *testing.T) {
 	})
 }
 
-// TestFunnelAndParallelMetaIdenticalFiles: both metadata paths must produce
-// byte-identical file images (§4.1 step 1 is a performance choice only).
-func TestFunnelAndParallelMetaIdenticalFiles(t *testing.T) {
-	images := map[MetaPolicy][]byte{}
-	for _, pol := range []MetaPolicy{MetaFunnel, MetaParallel} {
-		fs := pfs.NewMemFS(vtime.Challenge())
-		run(t, 3, fs, func(n *machine.Node) error {
-			d := mustLocal(t, 11, 3, distr.Cyclic, 0)
-			return writePlists(n, d, "f", Options{Meta: pol})
-		})
-		img, err := fs.Image("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		images[pol] = img
-	}
-	if !bytes.Equal(images[MetaFunnel], images[MetaParallel]) {
-		t.Fatal("funnel and parallel metadata paths produced different file images")
-	}
-}
-
 // TestMultipleRecords: several writes, read back in order; reader stops at
 // More() == false.
 func TestMultipleRecords(t *testing.T) {

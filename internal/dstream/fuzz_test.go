@@ -255,16 +255,18 @@ func TestFuzzUnsortedConsumesExactBytes(t *testing.T) {
 }
 
 // TestFuzzOptionCombos drives random records through every combination of
-// the stream options (metadata policy × async × strict × append), checking
-// content after each phase.
+// the stream options (strategy × async × strict × append), checking content
+// after each phase. Subtests keep their historical "meta=N" names, N being
+// the Strategy value (auto, funnel and parallel kept the numbers of the
+// metadata policies they replaced), so results compare across revisions.
 func TestFuzzOptionCombos(t *testing.T) {
 	seed := int64(0)
-	for _, meta := range []MetaPolicy{MetaAuto, MetaFunnel, MetaParallel} {
+	for _, strat := range []Strategy{StrategyAuto, StrategyFunnel, StrategyParallel, StrategyTwoPhase} {
 		for _, async := range []bool{false, true} {
 			for _, strict := range []bool{false, true} {
 				seed++
-				meta, async, strict, seed := meta, async, strict, seed
-				t.Run(fmt.Sprintf("meta=%d async=%v strict=%v", meta, async, strict), func(t *testing.T) {
+				strat, async, strict, seed := strat, async, strict, seed
+				t.Run(fmt.Sprintf("meta=%d async=%v strict=%v", strat, async, strict), func(t *testing.T) {
 					fs := pfs.NewMemFS(vtime.Challenge())
 					rng := rand.New(rand.NewSource(seed))
 					n := rng.Intn(20) + 1
@@ -279,7 +281,7 @@ func TestFuzzOptionCombos(t *testing.T) {
 									return err
 								}
 								s, err := Open(nd, d, "combo", WithOptions(Options{
-									Meta: meta, Async: async, Append: phase == 1,
+									Strategy: strat, Async: async, Append: phase == 1,
 								}))
 								if err != nil {
 									return err

@@ -44,7 +44,7 @@ type IStream struct {
 	preFree [][]byte
 	starts  []int
 
-	// Cost-model planner state (nil planner = the static heuristic).
+	// Cost-model planner state (nil planner = an explicit strategy).
 	// planDepth is the effective read-ahead depth — the planner's choice
 	// under full auto, Options.ReadAhead when set explicitly;
 	// planStart/planStrat/planEst feed the per-record observation back.
@@ -148,7 +148,7 @@ func openInput(node *machine.Node, d *distr.Distribution, name string, opts Opti
 		f.Close()
 		return nil, s.fail(fmt.Errorf("dstream: open sync: %w", err))
 	}
-	if opts.plannerEnabled() {
+	if opts.Strategy == StrategyAuto {
 		s.planner = s.newStreamPlanner()
 		s.planMet = newPlanMetrics(s.met, node.Rank())
 		// Depth starts at the explicit override (0 under full auto — the
@@ -179,7 +179,7 @@ func (s *IStream) aheadDepth() int {
 // observation that follows the data movement.
 func (s *IStream) planRead(m recordMeta) bool {
 	if s.planner == nil {
-		return s.opts.strategy(int(m.h.NElems)) == StrategyTwoPhase
+		return s.opts.Strategy == StrategyTwoPhase
 	}
 	g := plan.Geometry{
 		NProcs:    s.dist.NProcs,

@@ -16,9 +16,9 @@ import (
 type Strategy uint8
 
 const (
-	// StrategyAuto picks per record: funnelled for small collections,
-	// parallel for large ones — the paper's heuristic (never two-phase, so
-	// existing workloads keep their exact cost profile unless they opt in).
+	// StrategyAuto hands the choice to the cost-model planner, which
+	// picks funnel, parallel or two-phase per record from the platform
+	// profile, the file's stripe layout and the record's geometry.
 	StrategyAuto Strategy = iota
 	// StrategyFunnel routes metadata and data through node 0's per-node
 	// block: one parallel append total.
@@ -64,28 +64,8 @@ func ParseStrategy(name string) (Strategy, error) {
 	return StrategyAuto, fmt.Errorf("dstream: unknown strategy %q (want auto|funnel|parallel|twophase)", name)
 }
 
-// strategy resolves the effective strategy for a record over nElems
-// elements: an explicit Strategy wins; otherwise the legacy MetaPolicy is
-// honored; otherwise the paper's size heuristic decides.
-func (o Options) strategy(nElems int) Strategy {
-	if o.Strategy != StrategyAuto {
-		return o.Strategy
-	}
-	switch o.Meta {
-	case MetaFunnel:
-		return StrategyFunnel
-	case MetaParallel:
-		return StrategyParallel
-	}
-	if nElems < o.funnelThreshold() {
-		return StrategyFunnel
-	}
-	return StrategyParallel
-}
-
-// Option is one functional setting for Open/OpenInput — the composable
-// replacement for the Options struct literal (which the deprecated
-// OutputOpts/InputOpts constructors still accept).
+// Option is one functional setting for Open, OpenInput and the channel
+// opens; WithOptions merges a whole Options value.
 type Option func(*Options)
 
 // WithStrategy selects the collective data path (write side: funnel,
@@ -119,12 +99,6 @@ func WithAppend() Option {
 // array of a record must be extracted before the next read, skip, or close.
 func WithStrict() Option {
 	return func(o *Options) { o.Strict = true }
-}
-
-// WithFunnelThreshold overrides the element count below which the Auto
-// strategy funnels (DefaultFunnelThreshold otherwise).
-func WithFunnelThreshold(n int) Option {
-	return func(o *Options) { o.FunnelThreshold = n }
 }
 
 // WithAggregators overrides the aggregator count of the two-phase strategy.

@@ -1,6 +1,7 @@
 package dstream
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,9 +13,9 @@ import (
 
 // TestOptionValidation: option values the open primitives used to misread
 // silently now fail at open time with a clear error, per direction.
-// Negative values (a negative threshold fell back to the default, a
-// negative aggregator count to the stripe factor, a negative depth to
-// synchronous reads) fail everywhere; direction-inapplicable options
+// Unknown strategies (which ran the parallel path) and negative values (a
+// negative aggregator count fell back to the stripe factor, a negative
+// depth to synchronous reads) fail everywhere; direction-inapplicable options
 // (read-ahead on an output stream, append or write-behind on an input
 // stream, any file-path setting on a channel) fail on exactly the
 // directions they don't apply to, and still open on the ones they do.
@@ -28,8 +29,6 @@ func TestOptionValidation(t *testing.T) {
 		wantOut, wantIn, wantCS, wantCR string
 	}{
 		{"defaults", nil, "", "", "", ""},
-		{"zero threshold", []Option{WithFunnelThreshold(0)}, "", "", "", ""},
-		{"positive threshold", []Option{WithFunnelThreshold(512)}, "", "", inapplicable, inapplicable},
 		{"positive aggregators", []Option{WithAggregators(2)}, "", "", inapplicable, inapplicable},
 		{"explicit strategy", []Option{WithStrategy(StrategyTwoPhase)}, "", "", inapplicable, inapplicable},
 		{"positive read-ahead", []Option{WithReadAhead(3)}, inapplicable, "", inapplicable, inapplicable},
@@ -37,8 +36,8 @@ func TestOptionValidation(t *testing.T) {
 		{"append", []Option{WithAppend()}, "", inapplicable, inapplicable, inapplicable},
 		{"async", []Option{WithAsync()}, "", inapplicable, inapplicable, inapplicable},
 		{"channel window", []Option{WithChannelWindow(1 << 16)}, inapplicable, inapplicable, "", ""},
-		{"negative threshold", []Option{WithFunnelThreshold(-1)},
-			"negative funnel threshold", "negative funnel threshold", "negative funnel threshold", "negative funnel threshold"},
+		{"unknown strategy", []Option{WithStrategy(StrategyTwoPhase + 1)},
+			"unknown strategy", "unknown strategy", "unknown strategy", "unknown strategy"},
 		{"negative aggregators", []Option{WithAggregators(-2)},
 			"negative aggregator count", "negative aggregator count", "negative aggregator count", "negative aggregator count"},
 		{"negative read-ahead", []Option{WithReadAhead(-4)},
@@ -131,10 +130,10 @@ func hasAppend(opts []Option) bool {
 	return o.Append
 }
 
-// TestPlannerEnabledGate pins which configurations hand the strategy choice
-// to the cost-model planner: only the full-auto zero configuration. Any
-// explicit strategy, legacy metadata policy, or threshold override keeps
-// the paper's static heuristic and its exact cost profile.
+// TestPlannerEnabledGate pins which opens hand the strategy choice to the
+// cost-model planner: every one under StrategyAuto, whatever else is set.
+// Any explicit strategy pins that static path and its exact cost profile.
+// Each case opens on every file direction it is valid for.
 func TestPlannerEnabledGate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -147,12 +146,45 @@ func TestPlannerEnabledGate(t *testing.T) {
 		{"aggregators only", Options{Aggregators: 2}, true},
 		{"explicit strategy", Options{Strategy: StrategyFunnel}, false},
 		{"explicit twophase", Options{Strategy: StrategyTwoPhase}, false},
-		{"meta policy", Options{Meta: MetaFunnel}, false},
-		{"funnel threshold", Options{FunnelThreshold: 100}, false},
 	}
-	for _, tc := range cases {
-		if got := tc.o.plannerEnabled(); got != tc.want {
-			t.Errorf("%s: plannerEnabled() = %v, want %v", tc.name, got, tc.want)
+	fs := pfs.NewMemFS(vtime.Challenge())
+	run(t, 2, fs, func(n *machine.Node) error {
+		d, err := distr.New(8, 2, distr.Cyclic, 0)
+		if err != nil {
+			return err
 		}
-	}
+		for _, tc := range cases {
+			if tc.o.validateFor(dirOutput) == nil {
+				s, err := Open(n, d, "gate", WithOptions(tc.o))
+				if err != nil {
+					return fmt.Errorf("%s: Open: %w", tc.name, err)
+				}
+				if got := s.planner != nil; got != tc.want {
+					t.Errorf("%s: Open planner enabled = %v, want %v", tc.name, got, tc.want)
+				}
+				if err := s.InsertFunc(func(l int, e *Encoder) { e.Int64(int64(l)) }); err != nil {
+					return err
+				}
+				if err := s.Write(); err != nil {
+					return err
+				}
+				if err := s.Close(); err != nil {
+					return err
+				}
+			}
+			if tc.o.validateFor(dirInput) == nil {
+				s, err := OpenInput(n, d, "gate", WithOptions(tc.o))
+				if err != nil {
+					return fmt.Errorf("%s: OpenInput: %w", tc.name, err)
+				}
+				if got := s.planner != nil; got != tc.want {
+					t.Errorf("%s: OpenInput planner enabled = %v, want %v", tc.name, got, tc.want)
+				}
+				if err := s.Close(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }

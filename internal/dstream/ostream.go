@@ -48,12 +48,12 @@ type OStream struct {
 	writeSpan    trace.SpanID
 	pendingSpans []trace.SpanID
 
-	// Cost-model planner state (nil planner = the paper's static
-	// heuristic). descLen caches the descriptor section's byte length (it
-	// never changes between records); planTotal carries the record's
-	// agreed total data bytes from the plan agreement to writeParallel,
-	// which then skips its own Allreduce; planStart/planStrat/planEst
-	// feed the post-flush observation back to the planner.
+	// Cost-model planner state (nil planner = an explicit strategy).
+	// descLen caches the descriptor section's byte length (it never
+	// changes between records); planTotal carries the record's agreed
+	// total data bytes from the plan agreement to writeParallel, which
+	// then skips its own Allreduce; planStart/planStrat/planEst feed the
+	// post-flush observation back to the planner.
 	planner   *plan.Planner
 	planMet   *planMetrics
 	descLen   int
@@ -81,7 +81,7 @@ func openOutput(node *machine.Node, d *distr.Distribution, name string, opts Opt
 		stream: stream{node: node, dist: d, f: f, name: name, met: newStreamMetrics(node.Monitor()), tag: streamTag(name)},
 		opts:   opts,
 	}
-	if opts.plannerEnabled() {
+	if opts.Strategy == StrategyAuto {
 		s.planner = s.newStreamPlanner()
 		s.planMet = newPlanMetrics(s.met, node.Rank())
 		_, desc := headerFor(d, 1, 0)
@@ -250,7 +250,7 @@ func (s *OStream) Write() error {
 	s.groupBytes = 0
 
 	var werr error
-	strat := s.opts.strategy(s.dist.N)
+	strat := s.opts.Strategy
 	if s.planner != nil {
 		strat, werr = s.planRecord(localBytes)
 	}

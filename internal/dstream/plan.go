@@ -9,8 +9,7 @@ import (
 	"pcxxstreams/internal/plan"
 )
 
-// Planner integration. Under the full-auto configuration (no explicit
-// strategy, no legacy Meta policy, no funnel-threshold override) a stream
+// Planner integration. Under StrategyAuto (no explicit strategy) a stream
 // carries a plan.Planner: a closed-form cost model over the node's
 // platform profile and the file's stripe layout that picks strategy,
 // aggregator fan-in, and read-ahead depth per record, re-planning online
@@ -23,14 +22,6 @@ import (
 // group's clocks. Every rank therefore computes the identical plan chain
 // with no extra agreement round; PlanSignature exposes the chain's hash so
 // harnesses can verify no switch ever split the group.
-
-// plannerEnabled reports whether the cost-model planner owns the strategy
-// choice. Any explicit setting — a fixed Strategy, the deprecated Meta
-// policy, or a FunnelThreshold override — keeps the paper's static
-// heuristic, so opted-in configurations keep their exact cost profile.
-func (o Options) plannerEnabled() bool {
-	return o.Strategy == StrategyAuto && o.Meta == MetaAuto && o.FunnelThreshold == 0
-}
 
 // streamDir names the open primitive an Options value is validated for, so
 // direction-inapplicable settings fail loudly instead of passing silently.
@@ -58,15 +49,16 @@ func (d streamDir) String() string {
 }
 
 // validateFor rejects option values the named open primitive would
-// otherwise misread silently: negative values indistinguishable from the
-// zero value (a negative threshold used to fall back to the default, a
-// negative aggregator count to the stripe factor, a negative read-ahead to
-// synchronous reads), and options that belong to the other direction
-// entirely (read-ahead on an output stream, append or write-behind on an
-// input stream, any file-path setting on an interconnect-only channel).
+// otherwise misread silently: a Strategy past the known ones (which would
+// run some other data path), negative values indistinguishable from the
+// zero value (a negative aggregator count would fall back to the stripe
+// factor, a negative read-ahead to synchronous reads), and options that
+// belong to the other direction entirely (read-ahead on an output stream,
+// append or write-behind on an input stream, any file-path setting on an
+// interconnect-only channel).
 func (o Options) validateFor(dir streamDir) error {
-	if o.FunnelThreshold < 0 {
-		return fmt.Errorf("dstream: negative funnel threshold %d", o.FunnelThreshold)
+	if o.Strategy > StrategyTwoPhase {
+		return fmt.Errorf("dstream: unknown strategy %v", o.Strategy)
 	}
 	if o.Aggregators < 0 {
 		return fmt.Errorf("dstream: negative aggregator count %d", o.Aggregators)
@@ -118,12 +110,6 @@ func (o Options) validateFor(dir streamDir) error {
 		}
 		if o.Aggregators > 0 {
 			return reject("WithAggregators")
-		}
-		if o.FunnelThreshold > 0 {
-			return reject("WithFunnelThreshold")
-		}
-		if o.Meta != MetaAuto {
-			return reject("a MetaPolicy")
 		}
 		if o.FS != nil {
 			return reject("WithFileSystem")

@@ -124,6 +124,7 @@ func TestCrossStrategyByteIdentity(t *testing.T) {
 		{4, 23, distr.Cyclic, 0},      // cyclic: file order ≠ global order
 		{4, 23, distr.BlockCyclic, 3}, // block-cyclic with remainder
 		{3, 7, distr.Block, 0},        // fewer elements than some stripes
+		{3, 11, distr.Cyclic, 0},      // the paper's funnelled vs parallel metadata pair
 	}
 	strategies := []struct {
 		name string
@@ -237,12 +238,12 @@ func TestTwoPhaseFlatBackend(t *testing.T) {
 	})
 }
 
-// TestOpenMatchesLegacyConstructors: the functional-options constructors
-// and the deprecated struct-literal ones configure identical streams.
+// TestOpenMatchesLegacyConstructors: a pre-built Options value passed
+// through WithOptions configures the same stream as the struct itself.
 func TestOpenMatchesLegacyConstructors(t *testing.T) {
 	fs1 := pfs.NewMemFS(vtime.Challenge())
 	fs2 := pfs.NewMemFS(vtime.Challenge())
-	legacy := Options{Meta: MetaParallel, Async: true, FunnelThreshold: 9}
+	legacy := Options{Strategy: StrategyParallel, Async: true}
 	run(t, 4, fs1, func(n *machine.Node) error {
 		d := mustDist(t, 23, 4, distr.Block, 0)
 		return writePlists(n, d, "f", legacy)
@@ -273,6 +274,6 @@ func TestOpenMatchesLegacyConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(img1, img2) {
-		t.Fatal("Open(WithOptions(legacy)) and OutputOpts(legacy) produced different images")
+		t.Fatal("Open(WithOptions(legacy)) and the Options struct produced different images")
 	}
 }

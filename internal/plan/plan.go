@@ -4,15 +4,16 @@
 // when observation diverges from estimate.
 //
 // The paper (§4.1) picks between its funnelled and parallel I/O paths with
-// a static element-count threshold. The ablation grids (BENCH_twophase,
-// BENCH_readahead) show no strategy dominates: the winner moves with the
-// platform's per-operation latency, the stripe geometry, the record size,
-// and the write-cache cliffs. This package derives the choice instead: it
-// prices each strategy with the same timing laws the simulated platform
-// charges (pfs/disk.go, the collective cost model), picks the cheapest, and
-// keeps itself honest by comparing its estimates against the observed
-// virtual cost of every record — the adaptive logical-to-physical mapping
-// ViPIOS argued for, scoped to one stream.
+// a static element-count threshold. The ablation grids (the static columns
+// of BENCH_planner's write grid, and BENCH_readahead) show no strategy
+// dominates: the winner moves with the platform's per-operation latency,
+// the stripe geometry, the record size, and the write-cache cliffs. This
+// package derives the choice instead: it prices each strategy with the same
+// timing laws the simulated platform charges (pfs/disk.go, the collective
+// cost model), picks the cheapest, and keeps itself honest by comparing its
+// estimates against the observed virtual cost of every record — the
+// adaptive logical-to-physical mapping ViPIOS argued for, scoped to one
+// stream.
 //
 // Everything here is deterministic and allocation-free per record. Planner
 // inputs must be rank-identical (total record bytes, broadcast headers,
