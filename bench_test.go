@@ -211,6 +211,25 @@ func BenchmarkSegmentEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkSegmentDecode measures raw element decode speed: one encoded
+// segment extracted into fresh arrays, as every read does.
+func BenchmarkSegmentDecode(b *testing.B) {
+	var s scf.Segment
+	s.Fill(1, scf.DefaultParticles)
+	var e Encoder
+	s.StreamInsert(&e)
+	b.SetBytes(int64(e.Len()))
+	var d Decoder
+	for i := 0; i < b.N; i++ {
+		d.Reset(e.Bytes())
+		var got scf.Segment
+		got.StreamExtract(&d)
+		if d.Err() != nil {
+			b.Fatal(d.Err())
+		}
+	}
+}
+
 // BenchmarkPlatformSweep runs the streams benchmark on all three platform
 // profiles (paragon, cm5, challenge) — the CM-5 column is the measurement
 // the paper could not take ("CMMD timers do not account for I/O").

@@ -56,7 +56,7 @@ func (p *ParticleList) StreamInsert(e *pcxx.Encoder) {
 func (p *ParticleList) StreamExtract(d *pcxx.Decoder) {
 	p.NumberOfParticles = d.Int64()
 	p.Mass = d.Float64Slice()
-	n := int(d.Uint32())
+	n := d.SliceLen(1) // a corrupt count fails instead of allocating
 	p.Position = make([]Position, n)
 	for i := range p.Position {
 		p.Position[i].StreamExtract(d)

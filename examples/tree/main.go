@@ -38,7 +38,7 @@ func (t *treeNode) insert(e *pcxx.Encoder) {
 // extract is the matching recursive extraction function.
 func extract(d *pcxx.Decoder) *treeNode {
 	t := &treeNode{Value: d.Float64()}
-	n := int(d.Uint32())
+	n := d.SliceLen(1) // a corrupt count fails instead of looping 4 G times
 	for i := 0; i < n; i++ {
 		t.Children = append(t.Children, extract(d))
 	}

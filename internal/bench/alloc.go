@@ -204,6 +204,12 @@ const (
 	allocElemSize = 64
 	allocWarmup   = 8
 	allocCycles   = 64
+
+	// The channel cells' credit window (bytes; one frame in flight),
+	// warm-up and measured records (see channelCycleAllocs).
+	chanWindow = 1
+	chanWarmup = 64
+	chanCycles = 512
 )
 
 // machineCycleAllocs runs a 4-node machine performing steady-state
@@ -402,6 +408,18 @@ func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error
 // consumers at Read (frame arrival, validation, and retirement — the
 // producer-facing steady state); the recv cell adds the full per-element
 // extraction, so the pair brackets both ends of the pipeline.
+//
+// The cells run the channel with a one-frame credit window, so each
+// producer-consumer pair has exactly one frame in flight and every write
+// consumes the credit its consumer has just returned. A producer reads
+// credits only once its window is full: under the default 1 MiB window and
+// these ~1.2 KB frames that takes ~900 records, and until then the unread
+// credits pile up in its mailbox, each new high-water mark growing the
+// staged-message lists and drawing fresh pool buffers. A short warm-up
+// would leave that transient inside the measured window, where it reads as
+// 0.5 to 5 KB per record depending on scheduling and on what earlier cells
+// left in the pools. chanWarmup records fill the pools for the steady
+// state; chanCycles records amortize the window's closing barrier.
 func channelCycleAllocs(extract bool) (AllocCell, error) {
 	name := "dstream_chan_send"
 	if extract {
@@ -425,7 +443,7 @@ func channelCycleAllocs(extract bool) (AllocCell, error) {
 		}
 		var cycle func() error
 		if n.Rank() < producers {
-			s, err := dstream.OpenChannel(n, dProd, dCons, "alloc-chan")
+			s, err := dstream.OpenChannel(n, dProd, dCons, "alloc-chan", dstream.WithChannelWindow(chanWindow))
 			if err != nil {
 				return err
 			}
@@ -453,7 +471,7 @@ func channelCycleAllocs(extract bool) (AllocCell, error) {
 				return r.ExtractFunc(func(l int, d *dstream.Decoder) { d.Raw(allocElemSize) })
 			}
 		}
-		for i := 0; i < allocWarmup; i++ {
+		for i := 0; i < chanWarmup; i++ {
 			if err := cycle(); err != nil {
 				return err
 			}
@@ -471,7 +489,7 @@ func channelCycleAllocs(extract bool) (AllocCell, error) {
 		if err := n.Comm().Barrier(); err != nil {
 			return err
 		}
-		for i := 0; i < allocCycles; i++ {
+		for i := 0; i < chanCycles; i++ {
 			if err := cycle(); err != nil {
 				return err
 			}
@@ -483,8 +501,8 @@ func channelCycleAllocs(extract bool) (AllocCell, error) {
 			var after runtime.MemStats
 			runtime.ReadMemStats(&after)
 			debug.SetGCPercent(gcPct)
-			allocs = float64(after.Mallocs-before.Mallocs) / allocCycles
-			bytes = float64(after.TotalAlloc-before.TotalAlloc) / allocCycles
+			allocs = float64(after.Mallocs-before.Mallocs) / chanCycles
+			bytes = float64(after.TotalAlloc-before.TotalAlloc) / chanCycles
 		}
 		return nil
 	})

@@ -276,15 +276,15 @@ func (mb *mailbox) putBlocking(m Message, own *mailbox) error {
 	for {
 		spaceCh := mb.space.enter()
 		if r.tryPut(m) {
-			mb.space.leave()
+			mb.space.leave(spaceCh)
 			mb.finishPut()
 			return nil
 		}
 		if mb.closed.Load() {
-			mb.space.leave()
+			mb.space.leave(spaceCh)
 			return ErrClosed
 		}
-		var ownCh <-chan struct{}
+		var ownCh chan struct{}
 		if own != nil {
 			if n := own.assist(); n > 0 {
 				mb.ctr.assists.Add(int64(n))
@@ -295,9 +295,9 @@ func (mb *mailbox) putBlocking(m Message, own *mailbox) error {
 		}
 		if r.tryPut(m) { // the assist may have freed our own ring
 			if own != nil {
-				own.arrival.leave()
+				own.arrival.leave(ownCh)
 			}
-			mb.space.leave()
+			mb.space.leave(spaceCh)
 			mb.finishPut()
 			return nil
 		}
@@ -306,9 +306,9 @@ func (mb *mailbox) putBlocking(m Message, own *mailbox) error {
 		case <-ownCh: // nil when own == nil: never fires
 		}
 		if own != nil {
-			own.arrival.leave()
+			own.arrival.leave(ownCh)
 		}
-		mb.space.leave()
+		mb.space.leave(spaceCh)
 		if mb.closed.Load() {
 			return ErrClosed
 		}
@@ -487,11 +487,11 @@ func (mb *mailbox) getWithin(from int, tag uint64, timeout time.Duration) (Messa
 		ch := mb.arrival.enter()
 		m, ok = mb.poll(from, k)
 		if ok {
-			mb.arrival.leave()
+			mb.arrival.leave(ch)
 			return m, nil
 		}
 		if mb.closed.Load() {
-			mb.arrival.leave()
+			mb.arrival.leave(ch)
 			return Message{}, ErrClosed
 		}
 		if timeout > 0 && timer == nil {
@@ -501,9 +501,9 @@ func (mb *mailbox) getWithin(from int, tag uint64, timeout time.Duration) (Messa
 		mb.ctr.parks.Add(1)
 		select {
 		case <-ch:
-			mb.arrival.leave()
+			mb.arrival.leave(ch)
 		case <-timeoutCh:
-			mb.arrival.leave()
+			mb.arrival.leave(ch)
 			// One final poll: the message may have landed as the timer fired.
 			if m, ok := mb.poll(from, k); ok {
 				return m, nil

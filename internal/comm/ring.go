@@ -101,48 +101,82 @@ func (r *ring) tryTake() (Message, bool) {
 }
 
 // gate is a broadcast wakeup point. A waiter registers (enter), re-checks
-// its condition, and parks on the returned channel; wake closes the
-// current generation's channel, releasing every parked waiter at once.
-// When nobody waits, wake is a single atomic load — the cost the hot send
-// path pays per message.
+// its condition, and parks on the token channel enter returned; wake posts
+// to every registered token, releasing every parked waiter at once. When
+// nobody waits, wake is a single atomic load — the cost the hot send path
+// pays per message.
 //
-// The missed-wakeup argument: a waiter increments waiters before its
-// re-check, and a producer publishes its message before wake loads
-// waiters. Both operations are sequentially consistent atomics, so either
-// the producer observes the waiter (and closes the channel it parks on),
-// or the waiter's re-check observes the message. There is no interleaving
-// in which the message is published, the waiter parks, and nobody wakes it.
+// Tokens are one-slot channels recycled through the gate's free list, so a
+// park allocates nothing once the gate has seen its peak number of
+// concurrent waiters. Waking by closing a channel would need a new channel
+// for every park, since a closed one cannot be reopened, and the receive
+// path's allocations would then depend on whether its message had arrived.
+//
+// The missed-wakeup argument: a waiter registers its token and then
+// increments waiters before its re-check, and a producer publishes its
+// message before wake loads waiters. Both operations are sequentially
+// consistent atomics, so either the producer observes the waiter (and,
+// under mu, the token it parks on), or the waiter's re-check observes the
+// message. There is no interleaving in which the message is published, the
+// waiter parks, and nobody wakes it.
 type gate struct {
 	waiters atomic.Int32
-	ch      atomic.Pointer[chan struct{}]
+	mu      sync.Mutex
+	parked  []chan struct{} // tokens of registered waiters not yet woken
+	free    []chan struct{} // drained tokens awaiting reuse
 }
 
-// enter registers the caller as a waiter and returns the channel to park
+// enter registers the caller as a waiter and returns the token to park
 // on. The caller must re-check its wakeup condition between enter and
-// parking, and must call leave exactly once afterward.
-func (g *gate) enter() <-chan struct{} {
+// parking, and must call leave with the token exactly once afterward.
+func (g *gate) enter() chan struct{} {
+	g.mu.Lock()
+	var t chan struct{}
+	if n := len(g.free); n > 0 {
+		t = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		t = make(chan struct{}, 1)
+	}
+	g.parked = append(g.parked, t)
+	g.mu.Unlock()
 	g.waiters.Add(1)
-	for {
-		if p := g.ch.Load(); p != nil {
-			return *p
-		}
-		ch := make(chan struct{})
-		if g.ch.CompareAndSwap(nil, &ch) {
-			return ch
+	return t
+}
+
+// leave unregisters the waiter holding t and recycles t, draining a wake
+// that raced the leave.
+func (g *gate) leave(t chan struct{}) {
+	g.waiters.Add(-1)
+	g.mu.Lock()
+	for i, p := range g.parked {
+		if p == t {
+			g.parked = append(g.parked[:i], g.parked[i+1:]...)
+			break
 		}
 	}
+	select {
+	case <-t:
+	default:
+	}
+	g.free = append(g.free, t)
+	g.mu.Unlock()
 }
-
-func (g *gate) leave() { g.waiters.Add(-1) }
 
 // wake releases every currently registered waiter.
 func (g *gate) wake() {
 	if g.waiters.Load() == 0 {
 		return
 	}
-	if p := g.ch.Swap(nil); p != nil {
-		close(*p)
+	g.mu.Lock()
+	for _, t := range g.parked {
+		select {
+		case t <- struct{}{}:
+		default: // already posted: a token's one slot holds the wake
+		}
 	}
+	g.parked = g.parked[:0]
+	g.mu.Unlock()
 }
 
 // ringCounters aggregates mailbox-path events across a transport. All

@@ -248,3 +248,46 @@ func TestRingStatsRaceFree(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestGateBroadcastAndRecycle: one wake releases every registered waiter,
+// a wake with nobody registered is not remembered, and once the gate has
+// seen its peak number of waiters a park allocates nothing — the receive
+// path's allocations must not depend on whether a message was already
+// waiting.
+func TestGateBroadcastAndRecycle(t *testing.T) {
+	var g gate
+	const waiters = 3
+	var entered, done sync.WaitGroup
+	entered.Add(waiters)
+	done.Add(waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			defer done.Done()
+			tok := g.enter()
+			entered.Done()
+			<-tok
+			g.leave(tok)
+		}()
+	}
+	entered.Wait()
+	g.wake()
+	done.Wait()
+
+	g.wake() // nobody registered: must not leave a stale token behind
+	tok := g.enter()
+	select {
+	case <-tok:
+		t.Fatal("a wake with no waiters released a later waiter")
+	default:
+	}
+	g.leave(tok)
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		tok := g.enter()
+		g.wake()
+		<-tok
+		g.leave(tok)
+	}); allocs != 0 {
+		t.Fatalf("park/wake cycle allocates %.1f times, want 0", allocs)
+	}
+}

@@ -164,17 +164,13 @@ type OChannel struct {
 	open    bool
 	eofSent bool
 
-	group      [][][]byte
-	groupBytes int64
-	wrote      int
+	insertGroup
+	wrote int
 
 	dests    []chanDest
 	elemDest []int // local element → index into dests
 
-	encScratch  Encoder
-	arrFree     [][][]byte
-	insertSpans []trace.SpanID
-	cmet        *chanMetrics
+	cmet *chanMetrics
 }
 
 // OpenChannel opens the producer end of the channel called name. d is the
@@ -281,34 +277,7 @@ func (s *OChannel) InsertFunc(fill func(local int, e *Encoder)) error {
 	if err := s.checkOpen(); err != nil {
 		return err
 	}
-	start := s.node.Clock().Now()
-	n := s.LocalLen()
-	var arr [][]byte
-	if f := len(s.arrFree); f > 0 && cap(s.arrFree[f-1]) >= n {
-		arr = s.arrFree[f-1][:n]
-		s.arrFree = s.arrFree[:f-1]
-	} else {
-		arr = make([][]byte, n)
-	}
-	e := &s.encScratch
-	var arrBytes int64
-	for l := 0; l < n; l++ {
-		e.Reset()
-		fill(l, e)
-		p := bufpool.Get(e.Len())
-		copy(p, e.Bytes())
-		arr[l] = p
-		arrBytes += int64(len(p))
-	}
-	s.group = append(s.group, arr)
-	s.groupBytes += arrBytes
-	s.met.inserts.Inc()
-	s.met.fill.Add(float64(arrBytes))
-	s.node.Compute(float64(n) * s.node.Profile().PerElemCost)
-	if rec := s.met.mon.Recorder(); rec != nil {
-		id := rec.AddSpan(s.node.Rank(), "dstream", "ochannel.Insert "+s.name, start, s.node.Clock().Now())
-		s.insertSpans = append(s.insertSpans, id)
-	}
+	s.insert(&s.stream, s.LocalLen(), fill, "ochannel.Insert ")
 	return nil
 }
 
@@ -358,17 +327,8 @@ func (s *OChannel) Write() error {
 		}
 		localBytes += int64(sz)
 	}
-	for _, arr := range s.group {
-		for l, p := range arr {
-			bufpool.Put(p)
-			arr[l] = nil
-		}
-		s.arrFree = append(s.arrFree, arr)
-	}
+	s.release(s.met)
 	s.node.CopyCost(localBytes + int64(8*nLocal))
-	s.group = s.group[:0]
-	s.met.fill.Add(-float64(s.groupBytes))
-	s.groupBytes = 0
 
 	ep := s.node.Comm().Endpoint()
 	seq := uint64(s.wrote) + 1
@@ -490,14 +450,7 @@ func (s *OChannel) Close() error {
 		if err == nil {
 			err = fmt.Errorf("%w: close with %d unwritten inserts", ErrOrder, len(s.group))
 		}
-		for _, arr := range s.group {
-			for _, p := range arr {
-				bufpool.Put(p)
-			}
-		}
-		s.group = nil
-		s.met.fill.Add(-float64(s.groupBytes))
-		s.groupBytes = 0
+		s.release(s.met)
 	}
 	return err
 }

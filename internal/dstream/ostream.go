@@ -19,32 +19,18 @@ import (
 type OStream struct {
 	stream
 	opts Options
-	// group is the current interleave group: one entry per insert since
-	// the last write; each entry holds the encoded payload of every local
-	// element, in local order.
-	group [][][]byte
-	// groupBytes tracks the encoded payload bytes buffered in group — the
-	// buffer fill level the dstream_buffer_fill_bytes gauge reports.
-	groupBytes int64
-	wrote      int // records written
+	insertGroup
+	wrote int // records written
 	// pending is the completion time of the latest asynchronous write; the
 	// clock must reach it before the stream's data is durable.
 	pending float64
 
-	// Steady-state scratch: the element encoder reused across inserts, the
-	// per-insert payload-slice arrays recycled between flushes (their pooled
-	// payloads are released at each Write), and the local size table reused
-	// across flushes.
-	encScratch  Encoder
-	arrFree     [][][]byte
+	// sizeScratch is the local size table, reused across flushes.
 	sizeScratch []uint32
 
-	// Causal-graph state, all zero when the run is not tracing: the span
-	// IDs of the inserts encoded into the record being flushed (each gets
-	// an encode→write edge), the record flush span (reserved before the
-	// strategy runs so the shuffle can link to it), and the async disk
-	// spans the next Drain will wait on.
-	insertSpans  []trace.SpanID
+	// Causal-graph state, all zero when the run is not tracing: the record
+	// flush span (reserved before the strategy runs so the shuffle can
+	// link to it) and the async disk spans the next Drain will wait on.
 	writeSpan    trace.SpanID
 	pendingSpans []trace.SpanID
 
@@ -153,16 +139,42 @@ func (s *OStream) InsertFunc(fill func(local int, e *Encoder)) error {
 	if err := s.checkOpen(); err != nil {
 		return err
 	}
+	s.insert(&s.stream, s.LocalLen(), fill, "ostream.Insert ")
+	return nil
+}
+
+// insertGroup is the interleave group a producer buffers between writes,
+// shared by file streams and channels, with its steady-state scratch.
+type insertGroup struct {
+	// group holds one entry per insert since the last write; each entry
+	// holds the encoded payload of every local element, in local order.
+	group [][][]byte
+	// groupBytes tracks the encoded payload bytes buffered in group — the
+	// buffer fill level the dstream_buffer_fill_bytes gauge reports.
+	groupBytes int64
+	// encScratch is the element encoder reused across inserts; arrFree
+	// recycles the per-insert payload-slice arrays between writes.
+	encScratch Encoder
+	arrFree    [][][]byte
+	// insertSpans are the trace span IDs of the inserts encoded into the
+	// record being flushed (each gets an encode→write edge); empty when
+	// the run is not tracing.
+	insertSpans []trace.SpanID
+}
+
+// insert encodes the n local elements with fill, stages each payload in a
+// pooled buffer, and appends the array to the group. It charges Figure 4's
+// per-element traversal cost and records a span named spanPrefix+s.name.
+func (g *insertGroup) insert(s *stream, n int, fill func(local int, e *Encoder), spanPrefix string) {
 	start := s.node.Clock().Now()
-	n := s.LocalLen()
 	var arr [][]byte
-	if f := len(s.arrFree); f > 0 && cap(s.arrFree[f-1]) >= n {
-		arr = s.arrFree[f-1][:n]
-		s.arrFree = s.arrFree[:f-1]
+	if f := len(g.arrFree); f > 0 && cap(g.arrFree[f-1]) >= n {
+		arr = g.arrFree[f-1][:n]
+		g.arrFree = g.arrFree[:f-1]
 	} else {
 		arr = make([][]byte, n)
 	}
-	e := &s.encScratch
+	e := &g.encScratch
 	var arrBytes int64
 	for l := 0; l < n; l++ {
 		e.Reset()
@@ -172,16 +184,30 @@ func (s *OStream) InsertFunc(fill func(local int, e *Encoder)) error {
 		arr[l] = p
 		arrBytes += int64(len(p))
 	}
-	s.group = append(s.group, arr)
-	s.groupBytes += arrBytes
+	g.group = append(g.group, arr)
+	g.groupBytes += arrBytes
 	s.met.inserts.Inc()
 	s.met.fill.Add(float64(arrBytes))
 	s.node.Compute(float64(n) * s.node.Profile().PerElemCost)
 	if rec := s.met.mon.Recorder(); rec != nil {
-		id := rec.AddSpan(s.node.Rank(), "dstream", "ostream.Insert "+s.name, start, s.node.Clock().Now())
-		s.insertSpans = append(s.insertSpans, id)
+		id := rec.AddSpan(s.node.Rank(), "dstream", spanPrefix+s.name, start, s.node.Clock().Now())
+		g.insertSpans = append(g.insertSpans, id)
 	}
-	return nil
+}
+
+// release returns the group's pooled payloads once they have been packed,
+// recycles its arrays for the next group, and empties it.
+func (g *insertGroup) release(met *streamMetrics) {
+	for _, arr := range g.group {
+		for l, p := range arr {
+			bufpool.Put(p)
+			arr[l] = nil
+		}
+		g.arrFree = append(g.arrFree, arr)
+	}
+	g.group = g.group[:0]
+	met.fill.Add(-float64(g.groupBytes))
+	g.groupBytes = 0
 }
 
 // Write flushes the current interleave group as one record (§4.1): the
@@ -237,17 +263,8 @@ func (s *OStream) Write() error {
 			data = append(data, arr[l]...)
 		}
 	}
-	for _, arr := range s.group {
-		for l, p := range arr {
-			bufpool.Put(p)
-			arr[l] = nil
-		}
-		s.arrFree = append(s.arrFree, arr)
-	}
+	s.release(s.met)
 	s.node.CopyCost(int64(localBytes) + int64(4*nLocal))
-	s.group = s.group[:0]
-	s.met.fill.Add(-float64(s.groupBytes))
-	s.groupBytes = 0
 
 	var werr error
 	strat := s.opts.Strategy

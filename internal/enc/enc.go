@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Buffer is an append-only typed encoder. The zero value is ready to use.
@@ -74,20 +75,71 @@ func (e *Buffer) String(s string) {
 	e.b = append(e.b, s...)
 }
 
+// The fixed-width slice codecs below write a u32 length prefix followed by
+// the values, little-endian — byte for byte what a per-element loop of the
+// scalar encoders writes. Each grows the buffer once and fills it in place.
+
 // Float64Slice appends a u32 length prefix followed by the values.
 func (e *Buffer) Float64Slice(v []float64) {
-	e.Uint32(uint32(len(v)))
+	p := e.grow(len(v), 8)
 	for _, x := range v {
-		e.Float64(x)
+		binary.LittleEndian.PutUint64(p, math.Float64bits(x))
+		p = p[8:]
 	}
 }
 
 // Int64Slice appends a u32 length prefix followed by the values.
 func (e *Buffer) Int64Slice(v []int64) {
-	e.Uint32(uint32(len(v)))
+	p := e.grow(len(v), 8)
 	for _, x := range v {
-		e.Int64(x)
+		binary.LittleEndian.PutUint64(p, uint64(x))
+		p = p[8:]
 	}
+}
+
+// Uint64Slice appends a u32 length prefix followed by the values.
+func (e *Buffer) Uint64Slice(v []uint64) {
+	p := e.grow(len(v), 8)
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(p, x)
+		p = p[8:]
+	}
+}
+
+// Float32Slice appends a u32 length prefix followed by the values.
+func (e *Buffer) Float32Slice(v []float32) {
+	p := e.grow(len(v), 4)
+	for _, x := range v {
+		binary.LittleEndian.PutUint32(p, math.Float32bits(x))
+		p = p[4:]
+	}
+}
+
+// Int32Slice appends a u32 length prefix followed by the values.
+func (e *Buffer) Int32Slice(v []int32) {
+	p := e.grow(len(v), 4)
+	for _, x := range v {
+		binary.LittleEndian.PutUint32(p, uint32(x))
+		p = p[4:]
+	}
+}
+
+// Uint32Slice appends a u32 length prefix followed by the values.
+func (e *Buffer) Uint32Slice(v []uint32) {
+	p := e.grow(len(v), 4)
+	for _, x := range v {
+		binary.LittleEndian.PutUint32(p, x)
+		p = p[4:]
+	}
+}
+
+// grow appends the u32 count n, extends the buffer by n values of width
+// bytes in one step, and returns the extension for the caller to fill.
+func (e *Buffer) grow(n, width int) []byte {
+	e.Uint32(uint32(n))
+	off := len(e.b)
+	e.b = slices.Grow(e.b, n*width)[:off+n*width]
+	return e.b[off:]
 }
 
 // ErrShort reports a decode past the end of the buffer.
@@ -197,41 +249,111 @@ func (d *Reader) String() string {
 	return string(p)
 }
 
+// SliceLen decodes a u32 element count and bounds it by the undecoded
+// bytes: elemBytes is the fewest bytes one element encodes to, and a count
+// whose elements could not fit in what is left sets the sticky ErrShort and
+// returns 0. Extractors size their slices by it, so a corrupt prefix fails
+// cleanly instead of allocating up to 4 G elements.
+func (d *Reader) SliceLen(elemBytes int) int {
+	n := d.Uint32()
+	if d.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(elemBytes) > uint64(d.Remaining()) {
+		d.err = fmt.Errorf("%w: %d elements of %d bytes at offset %d of %d", ErrShort, n, elemBytes, d.off, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
+// fixed decodes the count of a slice of width-byte values and takes all
+// of its bytes at once, so the caller allocates only after the whole
+// slice is known to be present. p is nil on failure.
+func (d *Reader) fixed(width int) (p []byte, n int) {
+	n = d.SliceLen(width)
+	return d.take(n * width), n
+}
+
 // Float64Slice decodes a u32-length-prefixed []float64.
 func (d *Reader) Float64Slice() []float64 {
-	n := int(d.Uint32())
-	if d.err != nil {
+	p, n := d.fixed(8)
+	if p == nil {
 		return nil
 	}
-	out := make([]float64, 0, min(n, 1<<16))
-	for i := 0; i < n; i++ {
-		out = append(out, d.Float64())
-		if d.err != nil {
-			return nil
-		}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p))
+		p = p[8:]
 	}
 	return out
 }
 
 // Int64Slice decodes a u32-length-prefixed []int64.
 func (d *Reader) Int64Slice() []int64 {
-	n := int(d.Uint32())
-	if d.err != nil {
+	p, n := d.fixed(8)
+	if p == nil {
 		return nil
 	}
-	out := make([]int64, 0, min(n, 1<<16))
-	for i := 0; i < n; i++ {
-		out = append(out, d.Int64())
-		if d.err != nil {
-			return nil
-		}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(binary.LittleEndian.Uint64(p))
+		p = p[8:]
 	}
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Uint64Slice decodes a u32-length-prefixed []uint64.
+func (d *Reader) Uint64Slice() []uint64 {
+	p, n := d.fixed(8)
+	if p == nil {
+		return nil
 	}
-	return b
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(p)
+		p = p[8:]
+	}
+	return out
+}
+
+// Float32Slice decodes a u32-length-prefixed []float32.
+func (d *Reader) Float32Slice() []float32 {
+	p, n := d.fixed(4)
+	if p == nil {
+		return nil
+	}
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(p))
+		p = p[4:]
+	}
+	return out
+}
+
+// Int32Slice decodes a u32-length-prefixed []int32.
+func (d *Reader) Int32Slice() []int32 {
+	p, n := d.fixed(4)
+	if p == nil {
+		return nil
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(p))
+		p = p[4:]
+	}
+	return out
+}
+
+// Uint32Slice decodes a u32-length-prefixed []uint32.
+func (d *Reader) Uint32Slice() []uint32 {
+	p, n := d.fixed(4)
+	if p == nil {
+		return nil
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(p)
+		p = p[4:]
+	}
+	return out
 }

@@ -81,6 +81,141 @@ func TestSliceRoundTrip(t *testing.T) {
 	}
 }
 
+// sliceCodec is one fixed-width slice codec under test, type-erased over
+// its element type: enc writes an n-value slice with the bulk encoder, ref
+// writes the same values with a per-element loop of the scalar encoder (the
+// format's definition), and dec decodes one slice and re-encodes it with
+// ref, reporting whether the decoder returned nil.
+type sliceCodec struct {
+	name     string
+	enc, ref func(e *Buffer, n int)
+	dec      func(d *Reader, out *Buffer) (isNil bool)
+}
+
+func newSliceCodec[T any](name string, val func(i int) T, bulk func(*Buffer, []T),
+	scalar func(*Buffer, T), get func(*Reader) []T) sliceCodec {
+	values := func(n int) []T {
+		v := make([]T, n)
+		for i := range v {
+			v[i] = val(i)
+		}
+		return v
+	}
+	loop := func(e *Buffer, v []T) {
+		e.Uint32(uint32(len(v)))
+		for _, x := range v {
+			scalar(e, x)
+		}
+	}
+	return sliceCodec{
+		name: name,
+		enc:  func(e *Buffer, n int) { bulk(e, values(n)) },
+		ref:  func(e *Buffer, n int) { loop(e, values(n)) },
+		dec: func(d *Reader, out *Buffer) bool {
+			v := get(d)
+			loop(out, v)
+			return v == nil
+		},
+	}
+}
+
+var sliceCodecs = []sliceCodec{
+	newSliceCodec("Float64Slice", func(i int) float64 { return float64(i)*1.25 - 7 },
+		(*Buffer).Float64Slice, (*Buffer).Float64, (*Reader).Float64Slice),
+	newSliceCodec("Int64Slice", func(i int) int64 { return int64(i)*-0x0102030405 + 3 },
+		(*Buffer).Int64Slice, (*Buffer).Int64, (*Reader).Int64Slice),
+	newSliceCodec("Uint64Slice", func(i int) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 },
+		(*Buffer).Uint64Slice, (*Buffer).Uint64, (*Reader).Uint64Slice),
+	newSliceCodec("Float32Slice", func(i int) float32 { return float32(i)*0.5 - 3 },
+		(*Buffer).Float32Slice, (*Buffer).Float32, (*Reader).Float32Slice),
+	newSliceCodec("Int32Slice", func(i int) int32 { return int32(i)*-0x01020305 + 1 },
+		(*Buffer).Int32Slice, (*Buffer).Int32, (*Reader).Int32Slice),
+	newSliceCodec("Uint32Slice", func(i int) uint32 { return uint32(i) * 0x9E3779B9 },
+		(*Buffer).Uint32Slice, (*Buffer).Uint32, (*Reader).Uint32Slice),
+}
+
+var sliceLens = []int{0, 1, 7, 100, 65537}
+
+// TestSliceCodecsMatchScalarLoop: every bulk encoder writes exactly the
+// bytes of the per-element loop it replaced (the wire format is unchanged),
+// after a leading byte so the prefix lands unaligned, and every bulk
+// decoder reads them back.
+func TestSliceCodecsMatchScalarLoop(t *testing.T) {
+	for _, c := range sliceCodecs {
+		for _, n := range sliceLens {
+			var got, want Buffer
+			got.Bool(true)
+			want.Bool(true)
+			c.enc(&got, n)
+			c.ref(&want, n)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s n=%d: bulk bytes differ from the scalar loop", c.name, n)
+			}
+			d := NewReader(got.Bytes())
+			d.Bool()
+			var again Buffer
+			if c.dec(d, &again) || d.Err() != nil || d.Remaining() != 0 {
+				t.Fatalf("%s n=%d: decode failed (err %v, %d left)", c.name, n, d.Err(), d.Remaining())
+			}
+			if !bytes.Equal(again.Bytes(), want.Bytes()[1:]) {
+				t.Fatalf("%s n=%d: round trip changed the values", c.name, n)
+			}
+		}
+	}
+}
+
+// TestSliceCodecsTruncated: a slice cut at any byte decodes to nil with a
+// sticky ErrShort.
+func TestSliceCodecsTruncated(t *testing.T) {
+	for _, c := range sliceCodecs {
+		for _, n := range sliceLens {
+			var e Buffer
+			c.enc(&e, n)
+			b := e.Bytes()
+			var d Reader
+			var out Buffer
+			for cut := 0; cut < len(b); cut++ {
+				d.Reset(b[:cut])
+				out.Reset()
+				if !c.dec(&d, &out) || !errors.Is(d.Err(), ErrShort) {
+					t.Fatalf("%s n=%d cut at %d: got a slice or err %v", c.name, n, cut, d.Err())
+				}
+				if d.Uint32() != 0 || !errors.Is(d.Err(), ErrShort) {
+					t.Fatalf("%s n=%d cut at %d: error did not stick", c.name, n, cut)
+				}
+			}
+		}
+	}
+}
+
+// TestSliceLenBoundsCount: SliceLen accepts a count whose elements fit in
+// the undecoded bytes and fails any other without allocating.
+func TestSliceLenBoundsCount(t *testing.T) {
+	var e Buffer
+	e.Uint32(3)
+	e.Raw([]byte{1, 2, 3, 4, 5, 6})
+	if n := NewReader(e.Bytes()).SliceLen(2); n != 3 {
+		t.Fatalf("SliceLen(2) = %d, want 3", n)
+	}
+	d := NewReader(e.Bytes())
+	if n := d.SliceLen(3); n != 0 || !errors.Is(d.Err(), ErrShort) {
+		t.Fatalf("SliceLen(3) = %d, err %v; want 0, ErrShort", n, d.Err())
+	}
+	if n := d.SliceLen(0); n != 0 {
+		t.Fatalf("SliceLen after an error = %d, want 0", n)
+	}
+	corrupt := []byte{0xff, 0xff, 0xff, 0xff}
+	for _, c := range sliceCodecs {
+		var out Buffer
+		if allocs := testing.AllocsPerRun(20, func() {
+			out.Reset()
+			c.dec(NewReader(corrupt), &out)
+		}); allocs > 8 {
+			t.Fatalf("%s: %.1f allocations decoding a corrupt count", c.name, allocs)
+		}
+	}
+}
+
 func TestReaderStickyError(t *testing.T) {
 	d := NewReader([]byte{1, 2})
 	if got := d.Uint64(); got != 0 {
@@ -260,5 +395,41 @@ func TestBufferReaderQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func benchFloats(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(i) * 0.25
+	}
+	return v
+}
+
+// BenchmarkFloat64SliceEncode is the SCF segment's inner loop: one
+// 100-value array appended to a reused buffer.
+func BenchmarkFloat64SliceEncode(b *testing.B) {
+	v := benchFloats(100)
+	var e Buffer
+	b.SetBytes(4 + 8*int64(len(v)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		e.Float64Slice(v)
+	}
+}
+
+// BenchmarkFloat64SliceDecode decodes the same array into a new slice.
+func BenchmarkFloat64SliceDecode(b *testing.B) {
+	var e Buffer
+	e.Float64Slice(benchFloats(100))
+	var d Reader
+	b.SetBytes(int64(e.Len()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Reset(e.Bytes())
+		if d.Float64Slice() == nil {
+			b.Fatal(d.Err())
+		}
 	}
 }

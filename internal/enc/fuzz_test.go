@@ -3,6 +3,7 @@ package enc
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -16,11 +17,27 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b bool, u32 uint32, u64 uint64, f64 float64, s string, raw []byte, n uint8) {
 		fslice := make([]float64, int(n)%9)
 		islice := make([]int64, int(n)%5)
+		uslice := make([]uint64, int(n)%7)
+		f32slice := make([]float32, int(n)%11)
+		i32slice := make([]int32, int(n)%6)
+		u32slice := make([]uint32, int(n)%3)
 		for i := range fslice {
 			fslice[i] = f64 * float64(i+1)
 		}
 		for i := range islice {
 			islice[i] = int64(u64) - int64(i)
+		}
+		for i := range uslice {
+			uslice[i] = u64 ^ uint64(i)
+		}
+		for i := range f32slice {
+			f32slice[i] = float32(f64) * float32(i+1)
+		}
+		for i := range i32slice {
+			i32slice[i] = int32(u32) - int32(i)
+		}
+		for i := range u32slice {
+			u32slice[i] = u32 ^ uint32(i)
 		}
 
 		var e Buffer
@@ -35,6 +52,12 @@ func FuzzRoundTrip(f *testing.F) {
 		e.Bytes32(raw)
 		e.Float64Slice(fslice)
 		e.Int64Slice(islice)
+		e.Uint64Slice(uslice)
+		e.Float32Slice(f32slice)
+		e.Int32Slice(i32slice)
+		e.Uint32Slice(u32slice)
+		e.Uint32(uint32(len(raw))) // a hand-rolled count for SliceLen
+		e.Raw(raw)
 
 		d := NewReader(e.Bytes())
 		if got := d.Bool(); got != b {
@@ -82,6 +105,30 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("Int64Slice[%d] = %d, want %d", i, gi[i], islice[i])
 			}
 		}
+		if got := d.Uint64Slice(); !slices.Equal(got, uslice) {
+			t.Fatalf("Uint64Slice = %v, want %v", got, uslice)
+		}
+		gf32 := d.Float32Slice()
+		if len(gf32) != len(f32slice) {
+			t.Fatalf("Float32Slice len = %d, want %d", len(gf32), len(f32slice))
+		}
+		for i := range gf32 {
+			if math.Float32bits(gf32[i]) != math.Float32bits(f32slice[i]) {
+				t.Fatalf("Float32Slice[%d] = %v, want %v", i, gf32[i], f32slice[i])
+			}
+		}
+		if got := d.Int32Slice(); !slices.Equal(got, i32slice) {
+			t.Fatalf("Int32Slice = %v, want %v", got, i32slice)
+		}
+		if got := d.Uint32Slice(); !slices.Equal(got, u32slice) {
+			t.Fatalf("Uint32Slice = %v, want %v", got, u32slice)
+		}
+		if got := d.SliceLen(1); got != len(raw) {
+			t.Fatalf("SliceLen(1) = %d, want %d", got, len(raw))
+		}
+		if got := d.Raw(len(raw)); !bytes.Equal(got, raw) {
+			t.Fatalf("Raw after SliceLen = %q, want %q", got, raw)
+		}
 		if err := d.Err(); err != nil {
 			t.Fatalf("reader error after clean round trip: %v", err)
 		}
@@ -98,11 +145,12 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add([]byte(nil), []byte(nil))
 	f.Add([]byte{1, 2, 3}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{9, 9, 10, 10})
+	f.Add([]byte{2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{11, 12, 13, 14, 15, 31, 143})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
 		d := NewReader(data)
 		for _, op := range script {
 			hadErr := d.Err() != nil
-			switch op % 11 {
+			switch op % 16 {
 			case 0:
 				d.Bool()
 			case 1:
@@ -125,6 +173,16 @@ func FuzzReaderNeverPanics(f *testing.F) {
 				d.Float64Slice()
 			case 10:
 				d.Int64Slice()
+			case 11:
+				d.Uint64Slice()
+			case 12:
+				d.Float32Slice()
+			case 13:
+				d.Int32Slice()
+			case 14:
+				d.Uint32Slice()
+			case 15:
+				d.SliceLen(int(op>>4) % 9) // 15, 31, …: widths 0 to 8
 			}
 			if hadErr && d.Err() == nil {
 				t.Fatal("reader error un-stuck itself")

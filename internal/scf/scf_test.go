@@ -1,6 +1,8 @@
 package scf
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +60,22 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 	if got.Checksum() != s.Checksum() {
 		t.Fatal("checksum mismatch after round trip")
+	}
+}
+
+// TestSegmentBytesPinned pins the encoded bytes of one segment to the
+// digest the per-element codecs produced: any drift in the wire format
+// (prefix width, byte order, field order) fails here, since old files and
+// channel frames must keep reading.
+func TestSegmentBytesPinned(t *testing.T) {
+	const want = "4a971e6e416132ad8c989141c14f98ac8e5b4697dbd872fa8d66f8a396ab474b"
+	var s Segment
+	s.Fill(42, DefaultParticles)
+	var e enc.Buffer
+	s.StreamInsert(&e)
+	sum := sha256.Sum256(e.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("segment bytes sha256 = %s, want %s", got, want)
 	}
 }
 

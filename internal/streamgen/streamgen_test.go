@@ -1,12 +1,19 @@
 package streamgen
 
 import (
+	"bytes"
+	"errors"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"pcxxstreams/internal/dstream"
+	"pcxxstreams/internal/enc"
 )
 
 const sample = `package demo
@@ -272,5 +279,141 @@ func TestSchemaForRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := SchemaFor([]byte(sample), "demo.go", "NoSuch"); err == nil {
 		t.Fatal("missing type produced a schema")
+	}
+}
+
+const fixedWidthSrc = `package demo
+
+type Samples struct {
+	F32 []float32
+	I32 []int32
+	U32 []uint32
+	U64 []uint64
+}
+
+type Track struct {
+	Points []Point
+}
+
+type Point struct{ X, Y float64 }
+`
+
+// samples and track carry, statement for statement, the methods streamgen
+// generates for fixedWidthSrc's Samples and Track; TestFixedWidthSliceFields
+// checks each statement against the generator's output.
+type samples struct {
+	F32 []float32
+	I32 []int32
+	U32 []uint32
+	U64 []uint64
+}
+
+func (v *samples) StreamInsert(e *dstream.Encoder) {
+	e.Float32Slice(v.F32)
+	e.Int32Slice(v.I32)
+	e.Uint32Slice(v.U32)
+	e.Uint64Slice(v.U64)
+}
+
+func (v *samples) StreamExtract(d *dstream.Decoder) {
+	v.F32 = d.Float32Slice()
+	v.I32 = d.Int32Slice()
+	v.U32 = d.Uint32Slice()
+	v.U64 = d.Uint64Slice()
+}
+
+type point struct{ X, Y float64 }
+
+func (v *point) StreamExtract(d *dstream.Decoder) {
+	v.X = d.Float64()
+	v.Y = d.Float64()
+}
+
+type track struct{ Points []point }
+
+func (v *track) StreamExtract(d *dstream.Decoder) {
+	n := d.SliceLen(1)
+	v.Points = make([]point, n)
+	for i := range v.Points {
+		v.Points[i].StreamExtract(d)
+	}
+}
+
+func TestFixedWidthSliceFields(t *testing.T) {
+	out := gen(t, fixedWidthSrc, Options{})
+	for _, want := range []string{
+		"e.Float32Slice(v.F32)", "e.Int32Slice(v.I32)", "e.Uint32Slice(v.U32)", "e.Uint64Slice(v.U64)",
+		"v.F32 = d.Float32Slice()", "v.I32 = d.Int32Slice()", "v.U32 = d.Uint32Slice()", "v.U64 = d.Uint64Slice()",
+		"n := d.SliceLen(1)\n\tv.Points = make([]Point, n)\n\tfor i := range v.Points {\n\t\tv.Points[i].StreamExtract(d)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("generated code missing %q\n%s", want, out)
+		}
+	}
+
+	// The bulk calls write the bytes the per-element loops streamgen
+	// emitted before them wrote, and read them back.
+	in := samples{
+		F32: []float32{1.5, -2, 3.25},
+		I32: []int32{-1, 0, 1 << 30},
+		U32: []uint32{0, 0xdeadbeef},
+		U64: []uint64{1 << 63, 7, 0},
+	}
+	var e dstream.Encoder
+	in.StreamInsert(&e)
+	var loop dstream.Encoder
+	loop.Uint32(uint32(len(in.F32)))
+	for _, x := range in.F32 {
+		loop.Float32(x)
+	}
+	loop.Uint32(uint32(len(in.I32)))
+	for _, x := range in.I32 {
+		loop.Int32(x)
+	}
+	loop.Uint32(uint32(len(in.U32)))
+	for _, x := range in.U32 {
+		loop.Uint32(x)
+	}
+	loop.Uint32(uint32(len(in.U64)))
+	for _, x := range in.U64 {
+		loop.Uint64(x)
+	}
+	if !bytes.Equal(e.Bytes(), loop.Bytes()) {
+		t.Fatalf("bulk encoding % x differs from the per-element loop % x", e.Bytes(), loop.Bytes())
+	}
+	var got samples
+	d := enc.NewReader(e.Bytes())
+	got.StreamExtract(d)
+	if d.Err() != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("round trip = %+v (err %v), want %+v", got, d.Err(), in)
+	}
+}
+
+// TestGeneratedLoopBoundsCount: a generated element loop fed a count of
+// 0xFFFFFFFF fails with ErrShort after a bounded allocation instead of
+// making a slice of four billion elements.
+func TestGeneratedLoopBoundsCount(t *testing.T) {
+	input := []byte{0xff, 0xff, 0xff, 0xff}
+	var d dstream.Decoder
+	extract := func() {
+		var v track
+		d.Reset(input)
+		v.StreamExtract(&d)
+	}
+	extract()
+	if !errors.Is(d.Err(), enc.ErrShort) {
+		t.Fatalf("Err = %v, want ErrShort", d.Err())
+	}
+	if allocs := testing.AllocsPerRun(20, extract); allocs > 8 {
+		t.Fatalf("%.1f allocations per corrupt extract", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		extract()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 20; b > 1<<10 {
+		t.Fatalf("%d bytes allocated per corrupt extract", b)
 	}
 }
