@@ -1,10 +1,11 @@
 # Build/verify entry points. `make check` is the full tier-1 verify:
-# vet + the whole suite under the race detector (the machine runs one
-# goroutine per simulated node, so -race is load-bearing, not optional).
+# gofmt + vet + the whole suite under the race detector (the machine runs
+# one goroutine per simulated node, so -race is load-bearing, not optional).
 
-GO ?= go
+GO    ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test vet race check bench tables chaos fuzz api-golden bench-planner bench-readahead bench-critpath bench-pipeline chaos-tenants bench-alloc alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full
+.PHONY: fmt build test vet race check bench tables chaos fuzz api-golden bench-planner bench-readahead bench-critpath bench-pipeline chaos-tenants bench-alloc alloc-check race-pooldebug telemetry-smoke dstreamd-smoke bench-scale bench-scale-full
 
 build:
 	$(GO) build ./...
@@ -18,7 +19,11 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: build vet race
+# Fail when any Go file in the tree is not gofmt-formatted.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+check: fmt build vet race
 
 # Regenerate the paper's tables (shape-checked against the published data).
 tables:
@@ -91,7 +96,7 @@ alloc-check:
 # a retained alias written after Put panics at the next Get instead of
 # corrupting a record silently.
 race-pooldebug:
-	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/
+	$(GO) test -race -tags pooldebug ./internal/bufpool/ ./internal/comm/ ./internal/collective/ ./internal/pfs/ ./internal/dstream/ ./internal/chaos/ ./internal/server/ ./internal/session/
 
 # Regenerate the public API surface golden after an intentional API change.
 # `make check` diffs the façade against testdata/api_surface.golden.
@@ -118,8 +123,9 @@ chaos:
 chaos-tenants:
 	$(GO) test ./internal/chaos/ -v -run 'TestTenantChaos|TestTenantsReference' -chaos.seed $(CHAOS_SEED) -chaos.n $(CHAOS_N)
 
-# Short fuzz pass over the wire codec and the schema decoder (the committed
-# corpora under testdata/fuzz replay in every plain `go test` run).
+# Short fuzz pass over the wire codec, the schema decoder, the planner and
+# dstreamd's request loop (the committed corpora under testdata/fuzz replay
+# in every plain `go test` run).
 fuzz:
 	$(GO) test ./internal/enc/ -fuzz FuzzRoundTrip -fuzztime 30s
 	$(GO) test ./internal/enc/ -fuzz FuzzReaderNeverPanics -fuzztime 30s
@@ -129,3 +135,4 @@ fuzz:
 	$(GO) test ./internal/dschema/ -fuzz FuzzSchemaRoundTrip -fuzztime 30s
 	$(GO) test ./internal/plan/ -fuzz FuzzCostModel -fuzztime 30s
 	$(GO) test ./internal/plan/ -fuzz FuzzPlannerChain -fuzztime 30s
+	$(GO) test ./internal/server/ -fuzz FuzzServerFrame -fuzztime 30s

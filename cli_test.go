@@ -18,7 +18,17 @@ var (
 	buildOnce sync.Once
 	buildDir  string
 	buildErr  error
+	buildOut  []byte // the compiler's output when the build failed
 )
+
+// TestMain removes the binaries buildTools left in the temp dir.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
 
 // buildTools compiles every cmd/ binary once per test process.
 func buildTools(t *testing.T) string {
@@ -29,14 +39,10 @@ func buildTools(t *testing.T) string {
 			return
 		}
 		cmd := exec.Command("go", "build", "-o", buildDir+string(os.PathSeparator), "./cmd/...")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			buildErr = err
-			buildDir = string(out)
-		}
+		buildOut, buildErr = cmd.CombinedOutput()
 	})
 	if buildErr != nil {
-		t.Fatalf("building tools: %v\n%s", buildErr, buildDir)
+		t.Fatalf("building tools: %v\n%s", buildErr, buildOut)
 	}
 	return buildDir
 }

@@ -59,21 +59,26 @@ func AllocTable() ([]AllocCell, error) {
 		return nil, fmt.Errorf("bench: planner alloc cycle: %w", err)
 	}
 	cells = append(cells, auto)
-	read, err := machineReadCycleAllocs(dstream.StrategyParallel, 0)
+	read, err := machineReadCycleAllocs(dstream.StrategyParallel, 0, distr.Cyclic)
 	if err != nil {
 		return nil, fmt.Errorf("bench: parallel read alloc cycle: %w", err)
 	}
 	cells = append(cells, read)
-	ahead, err := machineReadCycleAllocs(dstream.StrategyParallel, 2)
+	ahead, err := machineReadCycleAllocs(dstream.StrategyParallel, 2, distr.Cyclic)
 	if err != nil {
 		return nil, fmt.Errorf("bench: read-ahead alloc cycle: %w", err)
 	}
 	cells = append(cells, ahead)
-	autoRead, err := machineReadCycleAllocs(dstream.StrategyAuto, 0)
+	autoRead, err := machineReadCycleAllocs(dstream.StrategyAuto, 0, distr.Cyclic)
 	if err != nil {
 		return nil, fmt.Errorf("bench: planner read alloc cycle: %w", err)
 	}
 	cells = append(cells, autoRead)
+	sorted, err := machineReadCycleAllocs(dstream.StrategyParallel, 0, distr.Block)
+	if err != nil {
+		return nil, fmt.Errorf("bench: sorted read alloc cycle: %w", err)
+	}
+	cells = append(cells, sorted)
 	chanSend, err := channelCycleAllocs(false)
 	if err != nil {
 		return nil, fmt.Errorf("bench: channel send alloc cycle: %w", err)
@@ -304,8 +309,9 @@ func writeCycleAllocs(prof vtime.Profile, strat dstream.Strategy) (float64, floa
 // file for input and measures the steady-state read+extract cycle — with the
 // prefetch pipeline off (depth 0) or on. Read-ahead recycles its buffers
 // through the stream's free list, so its cycle must not out-allocate the
-// synchronous path.
-func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error) {
+// synchronous path. The file is always written CYCLIC; a reader of another
+// mode makes every sorted Read redistribute the record between ranks.
+func machineReadCycleAllocs(strat dstream.Strategy, depth int, readMode distr.Mode) (AllocCell, error) {
 	name := "dstream_parallel_read"
 	if depth > 0 {
 		name = "dstream_readahead_read"
@@ -314,6 +320,9 @@ func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error
 		// Full-auto: the planner owns both the strategy and the prefetch
 		// depth, so this cell covers the planner-driven pipeline.
 		name = "dstream_auto_read"
+	}
+	if readMode != distr.Cyclic {
+		name = "dstream_sorted_read"
 	}
 	const records = allocWarmup + allocCycles
 	var allocs, bytes float64
@@ -348,7 +357,11 @@ func machineReadCycleAllocs(strat dstream.Strategy, depth int) (AllocCell, error
 		if depth > 0 {
 			opts = append(opts, dstream.WithReadAhead(depth))
 		}
-		in, err := dstream.OpenInput(n, d, "alloc-bench-read", opts...)
+		rd, err := distr.New(allocElems, allocNProcs, readMode, 0)
+		if err != nil {
+			return err
+		}
+		in, err := dstream.OpenInput(n, rd, "alloc-bench-read", opts...)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/comm"
+	"pcxxstreams/internal/distr"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/dstream"
 	"pcxxstreams/internal/enc"
@@ -208,11 +209,14 @@ func TestTwoPhaseWriteCycleAllocPin(t *testing.T) {
 	}
 }
 
-// TestReadCycleAllocPin pins the input side both ways: the synchronous
-// read+extract cycle, and the same cycle under WithReadAhead(2). The second
+// TestReadCycleAllocPin pins the input side three ways: the synchronous
+// read+extract cycle, the same cycle under WithReadAhead(2), and a sorted
+// read onto a BLOCK layout, which redistributes every record. The second
 // pin is the structural guarantee of the prefetch pipeline — its buffers
 // cycle through the stream's free list, so turning it on must not raise the
-// steady-state allocation rate over the synchronous path's budget.
+// steady-state allocation rate over the synchronous path's budget. The
+// third holds the redistribution to the same budget: its send and receive
+// buffers come from the pool.
 func TestReadCycleAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins stand down under -race")
@@ -220,8 +224,11 @@ func TestReadCycleAllocPin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("machine-level pin skipped in -short mode")
 	}
-	for _, depth := range []int{0, 2} {
-		cell, err := machineReadCycleAllocs(dstream.StrategyParallel, depth)
+	for _, c := range []struct {
+		depth int
+		mode  distr.Mode
+	}{{0, distr.Cyclic}, {2, distr.Cyclic}, {0, distr.Block}} {
+		cell, err := machineReadCycleAllocs(dstream.StrategyParallel, c.depth, c.mode)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -685,17 +685,17 @@ type Endpoint struct {
 	sentByPeer, recvByPeer   []int
 
 	// Observability (nil handles are no-ops).
-	mon         *dsmon.Monitor
-	mSent       *dsmon.Counter
-	mRecv       *dsmon.Counter
-	mBytesOut   *dsmon.Counter
-	mBytesIn    *dsmon.Counter
-	mTransient  *dsmon.Counter
-	mSendRetry  *dsmon.Counter
-	mRecvRetry  *dsmon.Counter
-	mExhausted  *dsmon.Counter
-	hMsgSize    *dsmon.Histogram
-	hRecvWait   *dsmon.Histogram
+	mon        *dsmon.Monitor
+	mSent      *dsmon.Counter
+	mRecv      *dsmon.Counter
+	mBytesOut  *dsmon.Counter
+	mBytesIn   *dsmon.Counter
+	mTransient *dsmon.Counter
+	mSendRetry *dsmon.Counter
+	mRecvRetry *dsmon.Counter
+	mExhausted *dsmon.Counter
+	hMsgSize   *dsmon.Histogram
+	hRecvWait  *dsmon.Histogram
 }
 
 // NewEndpoint binds rank's endpoint onto tr.

@@ -317,15 +317,17 @@ func distFromHeader(h enc.RecordHeader, desc []byte) (*distr.Distribution, error
 	return d, nil
 }
 
-// fileOrder returns, for each file position (writer node-block order), the
-// global element index stored there.
-func fileOrder(wdist *distr.Distribution) []int {
-	out := make([]int, 0, wdist.N)
-	for r := 0; r < wdist.NProcs; r++ {
+// fileOrder appends to dst the global element index stored at each file
+// position in [lo, hi): the file holds the writer's node blocks in rank
+// order, each in local order.
+func fileOrder(wdist *distr.Distribution, lo, hi int, dst []int) []int {
+	base := 0
+	for r := 0; r < wdist.NProcs && base < hi; r++ {
 		n := wdist.LocalCount(r)
-		for l := 0; l < n; l++ {
-			out = append(out, wdist.GlobalIndex(r, l))
+		for l := max(lo-base, 0); l < n && base+l < hi; l++ {
+			dst = append(dst, wdist.GlobalIndex(r, l))
 		}
+		base += n
 	}
-	return out
+	return dst
 }

@@ -1,6 +1,7 @@
 package dstream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -16,6 +17,12 @@ import (
 // IStream is an input d/stream. Records are consumed in the order they were
 // written; each Read (or UnsortedRead) loads one record into the per-node
 // buffers, after which Extract calls drain it array by array.
+//
+// Decoders handed to extractors read the record in place: bytes taken with
+// Decoder.Raw alias the stream's buffers, whether the record came straight
+// from the file or was redistributed between ranks by a sorted Read, and
+// are invalidated by the next Read, Skip, or Close. Copy what must outlive
+// the record.
 type IStream struct {
 	stream
 	opts   Options
@@ -28,11 +35,15 @@ type IStream struct {
 	extracts int
 
 	// Steady-state scratch, reused across records: refill holds the node's
-	// share of the current record's data section (element decoders alias it,
-	// so bytes extracted with Raw are invalidated by the next Read, Skip, or
-	// Close); hdrScratch is node 0's metadata read buffer.
+	// share of the current record's data section; held holds the pooled
+	// buffers a sorted Read received from other ranks when it had to
+	// redistribute. Element decoders alias both, so bytes extracted with Raw
+	// are invalidated by the next Read, Skip, or Close. hdrScratch is node
+	// 0's metadata read buffer.
 	refill     []byte
+	held       [][]byte
 	hdrScratch []byte
+	redist     redistScratch
 
 	// Read-ahead state (Options.ReadAhead > 0): pre is the queue of
 	// prefetched records, oldest first and file-contiguous from cursor;
@@ -55,6 +66,17 @@ type IStream struct {
 	planStrat plan.Strategy
 	planEst   float64
 	planStart float64
+}
+
+// redistScratch is the sorted read's per-record bookkeeping, reused across
+// records: the global index of each element this rank read from the file,
+// the local slots the redistributed payloads land in, and per destination
+// rank the exact packed size and the packed send buffer.
+type redistScratch struct {
+	globals []int
+	slots   [][]byte
+	sizes   []int
+	send    [][]byte
 }
 
 // recordMeta is the decoded front matter of one record: header, raw
@@ -246,6 +268,7 @@ func (s *IStream) read(sorted bool) error {
 	if !s.More() {
 		return s.fail(fmt.Errorf("%w: read past last record", ErrOrder))
 	}
+	s.releaseHeld()
 	start := s.node.Clock().Now()
 
 	// Steps 1–2: record front matter — served from the prefetch queue when
@@ -344,8 +367,7 @@ func (s *IStream) read(sorted bool) error {
 		// matched case; in arbitrary-but-counted order otherwise).
 		bufs = payloads
 	} else {
-		order := fileOrder(wdist)
-		bufs, err = s.redistribute(order[lo:hi], payloads)
+		bufs, err = s.redistribute(wdist, lo, payloads)
 		if err != nil {
 			return s.fail(fmt.Errorf("%w: redistribute: %w", ErrIO, err))
 		}
@@ -638,46 +660,68 @@ func (s *IStream) bcastBytes(off int64, n int) ([]byte, error) {
 
 // redistribute is phase two of the sorted read: each element read from disk
 // is routed to the node that owns it under the reader's distribution, and
-// placed at its local index. globals[i] is the global element index of
-// payloads[i].
-func (s *IStream) redistribute(globals []int, payloads [][]byte) ([][]byte, error) {
+// placed at its local index. payloads are the elements this rank read, the
+// file positions from lo on of a record written under wdist. Elements that
+// arrive from other ranks alias the received buffers, which stay on s.held
+// until the next Read, Skip, or Close.
+func (s *IStream) redistribute(wdist *distr.Distribution, lo int, payloads [][]byte) ([][]byte, error) {
 	me := s.node.Rank()
 	nprocs := s.dist.NProcs
-	out := make([][]byte, s.dist.LocalCount(me))
+	sc := &s.redist
+	globals := fileOrder(wdist, lo, lo+len(payloads), sc.globals[:0])
+	sc.globals = globals
+	out := resize(sc.slots, s.dist.LocalCount(me))
+	sc.slots = out
 
-	// Pack one buffer per destination: (u32 global, u32 len, payload)*.
+	// One buffer per destination, (u32 global, u32 len, payload)*, sized
+	// exactly by a first pass so packing never grows it.
+	sizes := resize(sc.sizes, nprocs)
+	bufs := resize(sc.send, nprocs)
+	sc.sizes, sc.send = sizes, bufs
+	for i, g := range globals {
+		if owner := s.dist.Owner(g); owner != me {
+			sizes[owner] += 8 + len(payloads[i])
+		}
+	}
 	var sendBytes int64
-	outBufs := make([]enc.Buffer, nprocs)
+	for r, n := range sizes {
+		if n > 0 {
+			bufs[r] = bufpool.GetCap(n)
+			sendBytes += int64(n)
+		}
+	}
 	for i, g := range globals {
 		owner := s.dist.Owner(g)
 		if owner == me {
 			out[s.dist.LocalIndex(g)] = payloads[i]
 			continue
 		}
-		outBufs[owner].Uint32(uint32(g))
-		outBufs[owner].Bytes32(payloads[i])
-		sendBytes += int64(8 + len(payloads[i]))
+		b := binary.LittleEndian.AppendUint32(bufs[owner], uint32(g))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(payloads[i])))
+		bufs[owner] = append(b, payloads[i]...)
 	}
 	s.node.CopyCost(sendBytes)
 
-	bufs := make([][]byte, nprocs)
-	for r := range bufs {
-		bufs[r] = outBufs[r].Bytes()
-	}
 	recv, err := s.node.Comm().Alltoallv(bufs)
+	// The transport delivered copies: the send buffers can go back now.
+	for r, b := range bufs {
+		bufpool.Put(b)
+		bufs[r] = nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dstream: redistribute: %w", err)
 	}
 	var d enc.Reader
 	for r, b := range recv {
-		if r == me {
+		if r == me || len(b) == 0 {
 			bufpool.Put(b) // own elements were placed directly
 			continue
 		}
+		s.held = append(s.held, b)
 		d.Reset(b)
 		for d.Remaining() > 0 {
 			g := int(d.Uint32())
-			p := d.Bytes32()
+			p := d.Raw(int(d.Uint32()))
 			if d.Err() != nil {
 				return nil, fmt.Errorf("dstream: redistribute decode from %d: %w", r, d.Err())
 			}
@@ -686,8 +730,6 @@ func (s *IStream) redistribute(globals []int, payloads [][]byte) ([][]byte, erro
 			}
 			out[s.dist.LocalIndex(g)] = p
 		}
-		// Bytes32 copies each payload out, so the frame can go back.
-		bufpool.Put(b)
 	}
 	for l, b := range out {
 		if b == nil {
@@ -696,6 +738,27 @@ func (s *IStream) redistribute(globals []int, payloads [][]byte) ([][]byte, erro
 		}
 	}
 	return out, nil
+}
+
+// resize returns s with length n and every element zeroed, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// releaseHeld returns the previous record's redistributed receive buffers
+// to the pool; the element decoders that aliased them are dead by now.
+func (s *IStream) releaseHeld() {
+	for i, b := range s.held {
+		bufpool.Put(b)
+		s.held[i] = nil
+	}
+	s.held = s.held[:0]
 }
 
 // Skip advances past the next record without loading its data. It enables
@@ -714,6 +777,7 @@ func (s *IStream) Skip() error {
 	if !s.More() {
 		return s.fail(fmt.Errorf("%w: skip past last record", ErrOrder))
 	}
+	s.releaseHeld()
 	if e, ok := s.takePrefetched(); ok {
 		// Already fetched: no I/O to do, but the prefetched data dies
 		// unread.
@@ -849,6 +913,7 @@ func (s *IStream) Close() error {
 	s.f = nil
 	bufpool.Put(s.refill)
 	s.refill = nil
+	s.releaseHeld()
 	s.elemBufs = nil
 	if err == nil && s.opts.Strict && s.haveRec && s.extracts < int(s.hdr.NArrays) {
 		err = fmt.Errorf("%w: close with %d of %d arrays unextracted (Strict)",

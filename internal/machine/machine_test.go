@@ -370,3 +370,42 @@ func TestSequentialRunsOnSharedFS(t *testing.T) {
 		t.Fatalf("IO stats went backwards: %d then %d opens", res1.IO.Opens, res2.IO.Opens)
 	}
 }
+
+// TestRepeatedRunsSameMakespan: the same program run twice on one file
+// system, rewriting the same file, reports the same makespan. Node clocks
+// restart at 0 each run, so the file's disk-channel horizons must too; a
+// horizon carried over would start run 2's I/O at run 1's makespan.
+func TestRepeatedRunsSameMakespan(t *testing.T) {
+	fs := pfs.NewMemFS(vtime.Paragon())
+	c := cfg(4)
+	c.Profile = vtime.Paragon()
+	c.FS = fs
+	body := func(n *Node) error {
+		f, err := n.Open("ckpt", true)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if _, err := f.ParallelAppend(make([]byte, 64<<10)); err != nil {
+			return err
+		}
+		buf := make([]byte, 4<<10)
+		return f.ReadAt(buf, int64(n.Rank())*int64(len(buf)))
+	}
+	var spans []float64
+	for run := 0; run < 3; run++ {
+		res, err := Run(c, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans = append(spans, res.Elapsed)
+	}
+	if spans[0] <= 0 {
+		t.Fatalf("makespan %v, want > 0", spans[0])
+	}
+	for run, e := range spans[1:] {
+		if e != spans[0] {
+			t.Fatalf("run %d makespan %v, run 0 %v: disk horizons carried over between runs", run+1, e, spans[0])
+		}
+	}
+}

@@ -36,6 +36,13 @@ func newDisk(prof vtime.Profile) *disk {
 	return &disk{prof: prof, chanFree: make([]float64, c)}
 }
 
+// reset clears every channel's horizon, for a run whose clocks restart at 0.
+func (d *disk) reset() {
+	d.mu.Lock()
+	clear(d.chanFree)
+	d.mu.Unlock()
+}
+
 // opCost returns the service time of one I/O call moving n bytes.
 // slowEligible marks an op that falls outside the OS cache: for writes,
 // the target offset is past the cache horizon; for reads, the whole file

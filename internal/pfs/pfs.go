@@ -115,14 +115,20 @@ func NewFileSystem(prof vtime.Profile, factory BackendFactory) *FileSystem {
 	}
 }
 
-// ResetAbort re-arms a file system whose previous machine run was aborted,
-// so a later run (e.g. a restart after a simulated crash) can use the same
-// file images. It also clears rendezvous state left behind by nodes that
-// died mid-collective. A FileSystem supports one machine run at a time;
-// the machine runner calls this at the start of each run.
+// ResetAbort prepares the file system for a new machine run, which
+// machine.Run does at start. Node clocks restart at 0 with every run, so
+// every file's disk-channel horizons restart there too: a horizon left at
+// the previous run's makespan would delay this run's first operations by
+// that much. A file system whose previous run was aborted (a node failed)
+// is re-armed, and the rendezvous state left behind by nodes that died
+// mid-collective is cleared, so a restart after a simulated crash can use
+// the same file images. A FileSystem supports one machine run at a time.
 func (fs *FileSystem) ResetAbort() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	for _, f := range fs.files {
+		f.d.reset()
+	}
 	select {
 	case <-fs.abort:
 		fs.abort = make(chan struct{})

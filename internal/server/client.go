@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/pfs"
 )
 
@@ -50,18 +51,26 @@ func (e *statusError) Is(target error) bool {
 	return false
 }
 
-// call is one in-flight request: the full frame payload (kept for an
-// idempotent resend after reconnect) and the reply channel.
+// call is one in-flight request: the frame payload, as head plus the
+// caller's bulk tail (both kept for an idempotent resend after reconnect;
+// the tail stays valid because roundTrip blocks until the reply), and the
+// reply channel.
 type call struct {
 	req  []byte
+	tail []byte
 	done chan reply
 }
 
+// reply is one response. frame is the pooled frame rd decodes from: the
+// caller owns it and calls free once it has decoded what it needs.
 type reply struct {
 	status uint8
 	rd     *reader
+	frame  []byte
 	err    error // client-side failure (session broken); status invalid
 }
+
+func (r reply) free() { bufpool.Put(r.frame) }
 
 // Client is one tenant session with a dstreamd daemon: it multiplexes
 // concurrent requests onto a single TCP connection, enforces the granted
@@ -130,7 +139,7 @@ func (c *Client) dialOnce() (net.Conn, error) {
 	req := putU8(putU64(nil, 0), opHello)
 	req = putStr(req, c.cfg.Tenant)
 	req = putStr(req, tok)
-	if err := writeFrame(conn, req); err != nil {
+	if err := writeFrame(conn, req, nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -139,6 +148,7 @@ func (c *Client) dialOnce() (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
+	defer bufpool.Put(frame)
 	r := &reader{b: frame}
 	r.u64() // id 0
 	status := r.u8()
@@ -204,7 +214,7 @@ func (c *Client) Close() error {
 		// without waiting out the grace window); ignore failures — the
 		// janitor reclaims the slot eventually either way.
 		c.wmu.Lock()
-		writeFrame(conn, putU8(putU64(nil, id), opBye)) //nolint:errcheck
+		writeFrame(conn, putU8(putU64(nil, id), opBye), nil) //nolint:errcheck
 		c.wmu.Unlock()
 		conn.Close()
 	}
@@ -240,6 +250,7 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 		id := r.u64()
 		status := r.u8()
 		if r.err != nil {
+			bufpool.Put(frame)
 			c.reconnect(conn, gen)
 			return
 		}
@@ -247,9 +258,12 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 		cl := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
-		if cl != nil {
-			cl.done <- reply{status: status, rd: r}
+		if cl == nil {
+			// A duplicate answer to a request resent after a reconnect.
+			bufpool.Put(frame)
+			continue
 		}
+		cl.done <- reply{status: status, rd: r, frame: frame}
 	}
 }
 
@@ -291,7 +305,7 @@ func (c *Client) reconnect(dead net.Conn, gen int) {
 			// executed just executes again to the same effect.
 			c.wmu.Lock()
 			for _, cl := range resend {
-				if writeFrame(conn, cl.req) != nil {
+				if writeFrame(conn, cl.req, cl.tail) != nil {
 					break // next readLoop generation will reconnect again
 				}
 			}
@@ -330,8 +344,10 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// roundTrip sends one request (op + body) and waits for its response.
-func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) {
+// roundTrip sends one request (op + body, then tail) and waits for its
+// response. tail goes on the wire without being copied into the request.
+// On success the caller must free the reply once decoded.
+func (c *Client) roundTrip(op uint8, tail []byte, body func(b []byte) []byte) (reply, error) {
 	c.mu.Lock()
 	if c.broken != nil {
 		err := c.broken
@@ -341,13 +357,13 @@ func (c *Client) roundTrip(op uint8, body func(b []byte) []byte) (reply, error) 
 	id := c.nextID
 	c.nextID++
 	req := body(putU8(putU64(nil, id), op))
-	cl := &call{req: req, done: make(chan reply, 1)}
+	cl := &call{req: req, tail: tail, done: make(chan reply, 1)}
 	c.pending[id] = cl
 	conn := c.conn
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := writeFrame(conn, req)
+	err := writeFrame(conn, req, tail)
 	c.wmu.Unlock()
 	if err != nil {
 		// Kick the readLoop into reconnecting; the request stays pending and
@@ -377,10 +393,11 @@ func decodeErr(status uint8, msg string) error {
 
 // Usage reports the tenant's reserved bytes and quota as of now.
 func (c *Client) Usage() (used, quota int64, err error) {
-	rep, err := c.roundTrip(opUsage, func(b []byte) []byte { return b })
+	rep, err := c.roundTrip(opUsage, nil, func(b []byte) []byte { return b })
 	if err != nil {
 		return 0, 0, err
 	}
+	defer rep.free()
 	if rep.status != statusOK {
 		return 0, 0, decodeErr(rep.status, rep.rd.str())
 	}
@@ -395,10 +412,11 @@ func (c *Client) Usage() (used, quota int64, err error) {
 // file system, with the server's stripe geometry visible to the two-phase
 // aggregation planner.
 func (c *Client) OpenBackend(name string) (pfs.Backend, error) {
-	rep, err := c.roundTrip(opOpen, func(b []byte) []byte { return putStr(b, name) })
+	rep, err := c.roundTrip(opOpen, nil, func(b []byte) []byte { return putStr(b, name) })
 	if err != nil {
 		return nil, err
 	}
+	defer rep.free()
 	if rep.status != statusOK {
 		return nil, decodeErr(rep.status, rep.rd.str())
 	}
@@ -444,8 +462,12 @@ func (f *remoteFile) Close() error { return nil }
 // a dead session reports 0 — harmless, because every subsequent transfer on
 // the dead session fails with the real (clean) error.
 func (f *remoteFile) Size() int64 {
-	rep, err := f.c.roundTrip(opSize, func(b []byte) []byte { return putStr(b, f.name) })
-	if err != nil || rep.status != statusOK {
+	rep, err := f.c.roundTrip(opSize, nil, func(b []byte) []byte { return putStr(b, f.name) })
+	if err != nil {
+		return 0
+	}
+	defer rep.free()
+	if rep.status != statusOK {
 		return 0
 	}
 	return rep.rd.i64()
@@ -453,12 +475,13 @@ func (f *remoteFile) Size() int64 {
 
 // Truncate resizes the file (and the tenant's quota reservation).
 func (f *remoteFile) Truncate(size int64) error {
-	rep, err := f.c.roundTrip(opTrunc, func(b []byte) []byte {
+	rep, err := f.c.roundTrip(opTrunc, nil, func(b []byte) []byte {
 		return putI64(putStr(b, f.name), size)
 	})
 	if err != nil {
 		return err
 	}
+	defer rep.free()
 	if rep.status != statusOK {
 		return decodeErr(rep.status, rep.rd.str())
 	}
@@ -486,12 +509,14 @@ func (f *remoteFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *remoteFile) readChunk(p []byte, off int64) (int, error) {
-	rep, err := f.c.roundTrip(opRead, func(b []byte) []byte {
+	rep, err := f.c.roundTrip(opRead, nil, func(b []byte) []byte {
 		return putU32(putI64(putStr(b, f.name), off), uint32(len(p)))
 	})
 	if err != nil {
 		return 0, err
 	}
+	// The data is copied into p; the frame goes back to the pool.
+	defer rep.free()
 	switch rep.status {
 	case statusOK:
 		return copy(p, rep.rd.bytes()), rep.rd.err
@@ -542,12 +567,15 @@ func (f *remoteFile) writeChunk(p []byte, off int64) (int, error) {
 		}
 		defer f.c.window.release(int64(len(p)))
 	}
-	rep, err := f.c.roundTrip(opWrite, func(b []byte) []byte {
-		return putBytes(putI64(putStr(b, f.name), off), p)
+	// A vectored frame: the length prefix rides in the head, p follows it
+	// on the wire uncopied.
+	rep, err := f.c.roundTrip(opWrite, p, func(b []byte) []byte {
+		return putU32(putI64(putStr(b, f.name), off), uint32(len(p)))
 	})
 	if err != nil {
 		return 0, err
 	}
+	defer rep.free()
 	switch rep.status {
 	case statusOK:
 		return int(rep.rd.u32()), rep.rd.err

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
 )
@@ -446,7 +448,15 @@ func (w *connWriter) reply(payload []byte) {
 	defer w.mu.Unlock()
 	// A dead connection just drops the response; the client will resend the
 	// request on its next connection.
-	writeFrame(w.c, payload) //nolint:errcheck
+	writeFrame(w.c, payload, nil) //nolint:errcheck
+}
+
+// send writes a frame that already carries its length prefix, in one Write
+// (dropped on a dead connection, as reply's are).
+func (w *connWriter) send(frame []byte) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.c.Write(frame) //nolint:errcheck
 }
 
 func errPayload(id uint64, status uint8, msg string) []byte {
@@ -463,7 +473,6 @@ func (s *Server) handleConn(c net.Conn) {
 	if err != nil {
 		return
 	}
-	ten := sess.ten
 	defer func() {
 		// Detach: the session stays resumable for the grace window, then a
 		// timer releases its admission slot.
@@ -476,75 +485,85 @@ func (s *Server) handleConn(c net.Conn) {
 
 	for {
 		frame, err := readFrame(c)
-		if err != nil {
+		if err != nil || !s.serve(sess, w, frame) {
 			return
-		}
-		r := &reader{b: frame}
-		id := r.u64()
-		op := r.u8()
-		ten.met.requests.Inc()
-		switch op {
-		case opBye:
-			w.reply(putU8(putU64(nil, id), statusOK))
-			// An explicit goodbye ends the session immediately: no grace,
-			// the admission slot frees now.
-			sess.mu.Lock()
-			sess.attached = false
-			sess.detached = time.Time{}
-			sess.mu.Unlock()
-			s.remove(sess)
-			return
-		case opOpen:
-			name := r.str()
-			if r.err != nil {
-				return
-			}
-			s.doOpen(ten, w, id, name)
-		case opSize:
-			name := r.str()
-			if r.err != nil {
-				return
-			}
-			f, err := s.lookup(ten, name)
-			if err != nil {
-				w.reply(errPayload(id, statusErr, err.Error()))
-				continue
-			}
-			w.reply(putI64(putU8(putU64(nil, id), statusOK), f.b.Size()))
-		case opTrunc:
-			name := r.str()
-			size := r.i64()
-			if r.err != nil {
-				return
-			}
-			s.doTrunc(ten, w, id, name, size)
-		case opUsage:
-			ten.mu.Lock()
-			used, quota := ten.usage, ten.cfg.QuotaBytes
-			ten.mu.Unlock()
-			w.reply(putI64(putI64(putU8(putU64(nil, id), statusOK), used), quota))
-		case opRead:
-			name := r.str()
-			off := r.i64()
-			n := r.u32()
-			if r.err != nil || n > chunkBytes {
-				return
-			}
-			s.submitRead(ten, w, id, name, off, int(n))
-		case opWrite:
-			name := r.str()
-			off := r.i64()
-			data := r.bytes()
-			if r.err != nil {
-				return
-			}
-			// The frame buffer is re-read per iteration, so data may be
-			// retained by the I/O rank without copying.
-			s.submitWrite(ten, w, id, name, off, data)
-		default:
-			w.reply(errPayload(id, statusErr, fmt.Sprintf("dstreamd: unknown %s", opName(op))))
 		}
 	}
+}
+
+// serve decodes and dispatches one request frame, reporting false when the
+// connection must close (a goodbye or an undecodable request). The frame
+// goes back to the pool here once decoded, except a write's: the I/O rank
+// writes its data straight out of the frame and returns it afterwards.
+func (s *Server) serve(sess *session, w *connWriter, frame []byte) bool {
+	defer func() { bufpool.Put(frame) }()
+	ten := sess.ten
+	r := &reader{b: frame}
+	id := r.u64()
+	op := r.u8()
+	ten.met.requests.Inc()
+	switch op {
+	case opBye:
+		w.reply(putU8(putU64(nil, id), statusOK))
+		// An explicit goodbye ends the session immediately: no grace,
+		// the admission slot frees now.
+		sess.mu.Lock()
+		sess.attached = false
+		sess.detached = time.Time{}
+		sess.mu.Unlock()
+		s.remove(sess)
+		return false
+	case opOpen:
+		name := r.str()
+		if r.err != nil {
+			return false
+		}
+		s.doOpen(ten, w, id, name)
+	case opSize:
+		name := r.str()
+		if r.err != nil {
+			return false
+		}
+		f, err := s.lookup(ten, name)
+		if err != nil {
+			w.reply(errPayload(id, statusErr, err.Error()))
+			return true
+		}
+		w.reply(putI64(putU8(putU64(nil, id), statusOK), f.b.Size()))
+	case opTrunc:
+		name := r.str()
+		size := r.i64()
+		if r.err != nil {
+			return false
+		}
+		s.doTrunc(ten, w, id, name, size)
+	case opUsage:
+		ten.mu.Lock()
+		used, quota := ten.usage, ten.cfg.QuotaBytes
+		ten.mu.Unlock()
+		w.reply(putI64(putI64(putU8(putU64(nil, id), statusOK), used), quota))
+	case opRead:
+		name := r.str()
+		off := r.i64()
+		n := r.u32()
+		if r.err != nil || n > chunkBytes {
+			return false
+		}
+		s.submitRead(ten, w, id, name, off, int(n))
+	case opWrite:
+		name := r.str()
+		off := r.i64()
+		data := r.bytes()
+		if r.err != nil {
+			return false
+		}
+		if s.submitWrite(ten, w, id, name, off, data, frame) {
+			frame = nil // the I/O rank returns it
+		}
+	default:
+		w.reply(errPayload(id, statusErr, fmt.Sprintf("dstreamd: unknown %s", opName(op))))
+	}
+	return true
 }
 
 // hello performs the handshake: authenticate the tenant, admit or resume
@@ -559,6 +578,7 @@ func (s *Server) hello(c net.Conn, w *connWriter) (*session, error) {
 	op := r.u8()
 	tenant := r.str()
 	token := r.str()
+	bufpool.Put(frame)
 	if r.err != nil || op != opHello {
 		w.reply(errPayload(id, statusErr, "dstreamd: expected hello"))
 		return nil, fmt.Errorf("bad hello")
@@ -741,9 +761,9 @@ func (s *Server) doTrunc(t *tenantState, w *connWriter, id uint64, name string, 
 // ViPIOS "data is mapped across I/O server processes" scheme.
 func (s *Server) rankFor(tenant, name string, off int64) chan func() {
 	h := fnv.New64a()
-	io.WriteString(h, tenant)     //nolint:errcheck
-	io.WriteString(h, "/")        //nolint:errcheck
-	io.WriteString(h, name)       //nolint:errcheck
+	io.WriteString(h, tenant) //nolint:errcheck
+	io.WriteString(h, "/")    //nolint:errcheck
+	io.WriteString(h, name)   //nolint:errcheck
 	cell := off / s.cfg.StripeUnit
 	return s.ranks[(h.Sum64()^uint64(cell))%uint64(len(s.ranks))]
 }
@@ -782,38 +802,46 @@ func (s *Server) submitRead(t *tenantState, w *connWriter, id uint64, name strin
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
 		defer release()
-		buf := make([]byte, n)
-		got, err := f.b.ReadAt(buf, off)
+		// Read straight into the reply frame, behind room for its header.
+		frame := bufpool.Get(readReplyHdr + n)
+		defer bufpool.Put(frame)
+		got, err := f.b.ReadAt(frame[readReplyHdr:], off)
 		if got < 0 {
 			got = 0
 		}
 		t.met.bytesOut.Add(int64(got))
-		out := putU64(nil, id)
+		data := frame[readReplyHdr : readReplyHdr+got]
 		switch {
-		case err == nil:
-			out = putBytes(putU8(out, statusOK), buf[:got])
-		case errors.Is(err, io.EOF):
-			out = putBytes(putU8(out, statusEOF), buf[:got])
+		case err == nil || errors.Is(err, io.EOF):
+			status := statusOK
+			if err != nil {
+				status = statusEOF
+			}
+			// The header encoders append in place, over the reserved room.
+			putU32(putU8(putU64(putU32(frame[:0], uint32(readReplyHdr-4+got)), id), status), uint32(got))
+			w.send(frame[:readReplyHdr+got])
 		case pfs.IsTransient(err):
 			t.met.transients.Inc()
-			out = putBytes(putStr(putU8(out, statusTransient), err.Error()), buf[:got])
+			w.reply(putBytes(putStr(putU8(putU64(nil, id), statusTransient), err.Error()), data))
 		default:
-			out = putStr(putU8(out, statusErr), err.Error())
+			w.reply(putStr(putU8(putU64(nil, id), statusErr), err.Error()))
 		}
-		w.reply(out)
 	}
 }
 
-// submitWrite checks the quota, admits, and enqueues one write.
-func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name string, off int64, data []byte) {
+// submitWrite checks the quota, admits, and enqueues one write, reporting
+// whether it did. data aliases the request frame: a queued write's I/O rank
+// returns the frame to the pool once WriteAt is done.
+func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name string, off int64, data, frame []byte) bool {
 	f, err := s.lookup(t, name)
 	if err != nil {
 		w.reply(errPayload(id, statusErr, err.Error()))
-		return
+		return false
 	}
-	if off < 0 {
-		w.reply(errPayload(id, statusErr, fmt.Sprintf("dstreamd: negative offset %d", off)))
-		return
+	if off < 0 || off > math.MaxInt64-int64(len(data)) {
+		// Past MaxInt64 the end would wrap negative and slip by the quota.
+		w.reply(errPayload(id, statusErr, fmt.Sprintf("dstreamd: write of %d bytes at offset %d out of range", len(data), off)))
+		return false
 	}
 	// Quota: reserve growth up front, under the tenant lock, so concurrent
 	// writes through different I/O ranks cannot double-spend the budget. A
@@ -830,7 +858,7 @@ func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name stri
 			w.reply(errPayload(id, statusQuota, fmt.Sprintf(
 				"%v: write to %d needs %d more with %d of %d used",
 				ErrQuota, end, delta, used, t.cfg.QuotaBytes)))
-			return
+			return false
 		}
 		t.usage += delta
 		f.resEnd = end
@@ -843,11 +871,12 @@ func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name stri
 	release, err := s.admit(t, len(data))
 	if err != nil {
 		w.reply(errPayload(id, statusErr, err.Error()))
-		return
+		return false
 	}
 	s.rankFor(t.cfg.Name, name, off) <- func() {
 		defer release()
 		n, err := f.b.WriteAt(data, off)
+		bufpool.Put(frame)
 		if n < 0 {
 			n = 0
 		}
@@ -863,4 +892,5 @@ func (s *Server) submitWrite(t *tenantState, w *connWriter, id uint64, name stri
 		}
 		w.reply(out)
 	}
+	return true
 }

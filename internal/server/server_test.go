@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"pcxxstreams/internal/bufpool"
 	"pcxxstreams/internal/dsmon"
 	"pcxxstreams/internal/pfs"
 	"pcxxstreams/internal/server"
@@ -301,6 +303,26 @@ func TestTransientPropagation(t *testing.T) {
 	}
 }
 
+// TestWriteOffsetRange: a write whose end would pass MaxInt64 is refused
+// with a clean error. Its end would wrap negative, slip by the quota
+// reservation, and reach the store as a write that places nothing but
+// reports every byte written.
+func TestWriteOffsetRange(t *testing.T) {
+	srv := startDaemon(t, server.Config{
+		Tenants: []server.Tenant{{Name: "a", QuotaBytes: 1 << 20}},
+	})
+	cli := dial(t, srv, "a")
+	b, err := cli.OpenBackend("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{-1, math.MaxInt64 - 4} {
+		if n, err := b.WriteAt(make([]byte, 16), off); err == nil || n != 0 {
+			t.Fatalf("WriteAt(16 bytes, %d) = %d, %v; want 0 and an error", off, n, err)
+		}
+	}
+}
+
 // TestServerClose: shutting the daemon down fails outstanding client work
 // with a clean error instead of hanging, and Close is idempotent.
 func TestServerClose(t *testing.T) {
@@ -338,4 +360,84 @@ func TestServerClose(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("write against a closed daemon hung")
 	}
+}
+
+// shortReadBackend answers every read at offset at with half of what was
+// asked and a transient fault, the partial transfer a flaky device reports.
+type shortReadBackend struct {
+	pfs.Backend
+	at int64
+}
+
+func (b *shortReadBackend) ReadAt(p []byte, off int64) (int, error) {
+	if off != b.at {
+		return b.Backend.ReadAt(p, off)
+	}
+	n, _ := b.Backend.ReadAt(p[:len(p)/2], off)
+	return n, fmt.Errorf("%w: injected short read", pfs.ErrTransient)
+}
+
+// waitPoolSettled waits for the pooled buffers checked out to return to
+// want: the I/O rank returns a reply frame just after writing it, so the
+// client may see the reply first.
+func waitPoolSettled(t testing.TB, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for bufpool.Stats().Outstanding != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("pooled buffers checked out: %d, want %d", bufpool.Stats().Outstanding, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReadReplies pins the read path's three data-carrying replies: a full
+// read (OK), a read past the end (the short count with EOF), and a
+// transient fault with partial data each deliver exactly the stored bytes,
+// and every reply frame goes back to the pool on both ends.
+func TestReadReplies(t *testing.T) {
+	const size, flaky = 96 << 10, 64 << 10
+	srv := startDaemon(t, server.Config{
+		Factory: func(string) (pfs.Backend, error) {
+			return &shortReadBackend{Backend: pfs.NewMemBackend(), at: flaky}, nil
+		},
+		Tenants: []server.Tenant{{Name: "a"}},
+	})
+	cli := dial(t, srv, "a")
+	b, err := cli.OpenBackend("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := make([]byte, size)
+	for i := range stored {
+		stored[i] = byte(i*7 + i>>8)
+	}
+	if n, err := b.WriteAt(stored, 0); err != nil || n != size {
+		t.Fatalf("WriteAt = %d, %v", n, err)
+	}
+	waitPoolSettled(t, bufpool.Stats().Outstanding)
+	before := bufpool.Stats().Outstanding
+
+	cases := []struct {
+		name    string
+		off     int64
+		n, want int
+		err     func(error) bool
+	}{
+		{"ok", 1000, 40 << 10, 40 << 10, func(err error) bool { return err == nil }},
+		{"eof", size - 100, 4096, 100, func(err error) bool { return errors.Is(err, io.EOF) }},
+		{"transient", flaky, 8 << 10, 4 << 10, pfs.IsTransient},
+	}
+	for _, c := range cases {
+		// Prefill so a byte the reply did not deliver cannot pass as one.
+		p := bytes.Repeat([]byte{0xEE}, c.n)
+		n, err := b.ReadAt(p, c.off)
+		if n != c.want || !c.err(err) {
+			t.Fatalf("%s: ReadAt = %d, %v; want %d bytes", c.name, n, err, c.want)
+		}
+		if !bytes.Equal(p[:n], stored[c.off:c.off+int64(n)]) {
+			t.Fatalf("%s: delivered bytes differ from the stored ones", c.name)
+		}
+	}
+	waitPoolSettled(t, before)
 }

@@ -44,6 +44,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+
+	"pcxxstreams/internal/bufpool"
 )
 
 // Protocol limits.
@@ -102,18 +105,25 @@ func opName(op uint8) string {
 	return fmt.Sprintf("op(%d)", op)
 }
 
-// writeFrame writes one length-prefixed frame. The caller serializes writers.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// readReplyHdr is the fixed head of a read reply that carries data: frame
+// length (u32), id (u64), status (u8) and data length (u32). The I/O rank
+// reads the file straight into a buffer behind it.
+const readReplyHdr = 4 + 8 + 1 + 4
+
+// writeFrame writes one length-prefixed frame whose payload is head
+// followed by tail (nil for most frames), in one vectored write, so a bulk
+// tail is never copied into the frame. The caller serializes writers.
+func writeFrame(w io.Writer, head, tail []byte) error {
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], uint32(len(head)+len(tail)))
+	bufs := net.Buffers{n[:], head, tail}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
+// readFrame reads one length-prefixed frame into a pooled buffer. The
+// caller owns the frame and returns it with bufpool.Put once nothing
+// decoded from it is still in use.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -123,8 +133,9 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("dstreamd: frame of %d bytes exceeds the %d limit", n, maxFrame)
 	}
-	buf := make([]byte, n)
+	buf := bufpool.Get(int(n))
 	if _, err := io.ReadFull(r, buf); err != nil {
+		bufpool.Put(buf)
 		return nil, err
 	}
 	return buf, nil
